@@ -1,7 +1,5 @@
 #include "arb/matrix_arbiter.hh"
 
-#include "common/logging.hh"
-
 namespace pdr::arb {
 
 MatrixArbiter::MatrixArbiter(int n) : Arbiter(n), words_(wordsFor(n))
@@ -9,9 +7,15 @@ MatrixArbiter::MatrixArbiter(int n) : Arbiter(n), words_(wordsFor(n))
     pdr_assert(n >= 1);
     rows_.assign(std::size_t(n) * words_, 0);
     pack_.assign(words_, 0);
+    initRows(rows_.data(), n, words_);
+}
+
+void
+MatrixArbiter::initRows(std::uint64_t *rows, int n, int words)
+{
     // i beats j initially for all i < j: row i has bits (i, n) set.
     for (int i = 0; i < n; i++) {
-        std::uint64_t *row = &rows_[std::size_t(i) * words_];
+        std::uint64_t *row = &rows[std::size_t(i) * words];
         for (int j = i + 1; j < n; j++)
             setBit(row, j);
     }
@@ -25,37 +29,19 @@ MatrixArbiter::beats(int i, int j) const
 }
 
 int
-MatrixArbiter::arbitrateWord(std::uint64_t requests) const
+MatrixArbiter::arbitrateRows(const std::uint64_t *rows, int words,
+                             const std::uint64_t *requests)
 {
-    pdr_assert(words_ == 1);
-    // Walk requestors in ascending order; i wins iff every other
-    // requestor is one i beats, i.e. no request bit survives outside
-    // row i (the scalar reference scans the same ascending order, and
-    // the priority state is a total order, so at most one index wins).
-    std::uint64_t m = requests;
-    while (m) {
-        int i = ctz64(m);
-        m &= m - 1;
-        if ((requests & ~rows_[i] & ~(std::uint64_t(1) << i)) == 0)
-            return i;
-    }
-    return NoGrant;
-}
-
-int
-MatrixArbiter::arbitrateMask(const std::uint64_t *requests) const
-{
-    if (words_ == 1)
-        return arbitrateWord(requests[0]);
-    for (int w = 0; w < words_; w++) {
+    // Requestor i wins iff no other request bit falls outside row i.
+    for (int w = 0; w < words; w++) {
         std::uint64_t m = requests[w];
         while (m) {
             int b = ctz64(m);
             m &= m - 1;
             int i = w * kWordBits + b;
-            const std::uint64_t *row = &rows_[std::size_t(i) * words_];
+            const std::uint64_t *row = &rows[std::size_t(i) * words];
             bool wins = true;
-            for (int k = 0; k < words_ && wins; k++) {
+            for (int k = 0; k < words && wins; k++) {
                 std::uint64_t others = requests[k] & ~row[k];
                 if (k == w)
                     others &= ~(std::uint64_t(1) << b);
@@ -91,34 +77,55 @@ MatrixArbiter::update(int winner)
     if (winner == NoGrant)
         return;
     pdr_assert(winner >= 0 && winner < size());
+    updateRows(rows_.data(), size(), words_, winner);
+}
+
+void
+MatrixArbiter::updateRows(std::uint64_t *rows, int n, int words,
+                          int winner)
+{
     // Winner drops to lowest priority: clear its row (it now beats
     // nobody) and set its column bit in every other row.  The column
     // write-back is inherently one bit per row; the arbitration-side
     // win is what the packed layout buys.
-    std::uint64_t *wrow = &rows_[std::size_t(winner) * words_];
-    for (int w = 0; w < words_; w++)
+    std::uint64_t *wrow = &rows[std::size_t(winner) * words];
+    for (int w = 0; w < words; w++)
         wrow[w] = 0;
     const std::size_t ww = std::size_t(winner) >> 6;
     const std::uint64_t wbit = std::uint64_t(1) << (winner & 63);
-    // pdr-lint: allow(PDR-PERF-DENSESCAN) column set over all rows is
-    // O(n) single-bit ORs, not a per-request scan; no packed shortcut
-    // exists for a strided column write
-    for (int j = 0; j < size(); j++) {
+    for (int j = 0; j < n; j++) {
         if (j != winner)
-            rows_[std::size_t(j) * words_ + ww] |= wbit;
+            rows[std::size_t(j) * words + ww] |= wbit;
     }
 }
 
 void
-MatrixArbiter::dumpState(std::vector<std::uint8_t> &out) const
+MatrixArbiter::dumpRows(const std::uint64_t *rows, int n, int words,
+                        std::vector<std::uint8_t> &out)
 {
-    // pdr-lint: allow(PDR-PERF-DENSESCAN) diagnostic serialization for
-    // the equivalence tests, not on the allocation hot path
-    for (int i = 0; i < size(); i++) {
-        // pdr-lint: allow(PDR-PERF-DENSESCAN) diagnostic serialization
-        for (int j = i + 1; j < size(); j++)
-            out.push_back(beats(i, j) ? 1 : 0);
+    // Diagnostic serialization for the equivalence tests, not on the
+    // allocation hot path.
+    for (int i = 0; i < n; i++) {
+        const std::uint64_t *row = &rows[std::size_t(i) * words];
+        for (int j = i + 1; j < n; j++)
+            out.push_back(testBit(row, j) ? 1 : 0);
     }
+}
+
+MatrixArbiterSlab::MatrixArbiterSlab(int count, int n)
+    : count_(count), n_(n), words_(wordsFor(n))
+{
+    pdr_assert(count >= 1 && n >= 1);
+    rows_.assign(std::size_t(count) * std::size_t(n) * words_, 0);
+    for (int a = 0; a < count; a++)
+        MatrixArbiter::initRows(rowsOf(a), n, words_);
+}
+
+void
+MatrixArbiterSlab::dumpState(std::vector<std::uint8_t> &out) const
+{
+    for (int a = 0; a < count_; a++)
+        MatrixArbiter::dumpRows(rowsOf(a), n_, words_, out);
 }
 
 } // namespace pdr::arb

@@ -21,10 +21,16 @@
  * per input port, one word over input ports per output port; the
  * parameter schema caps p and v at 64) and both stages iterate only the
  * set bits, so the cost scales with live requests rather than p * v.
- * The speculative kill pass is two mask intersections.  The previous
- * dense implementations are retained verbatim in scalar_oracle.hh as
- * the equivalence oracle: grants and priority evolution are
- * bit-identical (tests/arb/test_alloc_equiv.cc).
+ * Each allocator keeps its per-port matrix arbiters in one contiguous
+ * MatrixArbiterSlab and drives them through the single-word
+ * arbitrateWord/updateWord forms.  The speculative allocator stages the
+ * one request vector it is given in a single scan, each request into
+ * the separable allocator of its kind, skips a pass with no requests,
+ * and appends both passes' grants to one result vector; its kill test
+ * is two mask intersections.  The previous dense implementations are
+ * retained verbatim in scalar_oracle.hh as the equivalence oracle:
+ * grants and priority evolution are bit-identical
+ * (tests/arb/test_alloc_equiv.cc).
  */
 
 #ifndef PDR_ARB_SWITCH_ALLOCATOR_HH
@@ -110,8 +116,7 @@ class WormholeSwitchArbiter : public WormholeArbiterBase
 
   private:
     int p_;
-    std::vector<MatrixArbiter> outputArb_;
-    std::uint64_t outMask_ = 0;          //!< Outputs with >= 1 bid.
+    MatrixArbiterSlab outputArb_;        //!< p:1 per output port.
     std::vector<std::uint64_t> outBids_; //!< Per output: input-port bids.
     std::vector<SaGrant> grants_;        //!< Reused result storage.
 };
@@ -136,16 +141,40 @@ class SeparableSwitchAllocator : public SwitchAllocatorBase
     int numVcs() const { return v_; }
 
   private:
+    friend class SpeculativeSwitchAllocator;
+
+    /** Stage one request as a VC bid of its input port; returns the
+     *  input port's bit for the caller's bidding-inputs mask. */
+    std::uint64_t
+    stage(const SaRequest &r)
+    {
+        pdr_assert(r.inPort >= 0 && r.inPort < p_);
+        pdr_assert(r.inVc >= 0 && r.inVc < v_);
+        pdr_assert(r.outPort >= 0 && r.outPort < p_);
+        pdr_assert(!((inVcBids_[r.inPort] >> r.inVc) & 1u));
+        inVcBids_[r.inPort] |= std::uint64_t(1) << r.inVc;
+        want_[std::size_t(r.inPort) * v_ + r.inVc] = r.outPort;
+        return std::uint64_t(1) << r.inPort;
+    }
+
+    /**
+     * Run both arbitration stages over the staged bids of the inputs in
+     * `in_mask`.  Every grant that wins both stages updates the
+     * arbiters; it is appended to `out` (with the given spec flag)
+     * unless its input port is set in `kill_in` or its output port in
+     * `kill_out` (Figure 7(c)'s non-speculative priority).
+     */
+    void resolve(std::uint64_t in_mask, bool spec, std::uint64_t kill_in,
+                 std::uint64_t kill_out, std::vector<SaGrant> &out);
+
     int p_;
     int v_;
-    std::vector<MatrixArbiter> inputArb_;   //!< v:1 per input port.
-    std::vector<MatrixArbiter> outputArb_;  //!< p:1 per output port.
+    MatrixArbiterSlab inputArb_;    //!< v:1 per input port.
+    MatrixArbiterSlab outputArb_;   //!< p:1 per output port.
 
     // Reused per-call bid staging (hot path).  inVcBids_ / outBids_
-    // words are zeroed again before allocate() returns.
-    std::uint64_t inMask_ = 0;              //!< Inputs with >= 1 bid.
+    // words are zeroed again before resolve() returns.
     std::vector<std::uint64_t> inVcBids_;   //!< Per input: VC bids.
-    std::uint64_t outMask_ = 0;             //!< Outputs with a finalist.
     std::vector<std::uint64_t> outBids_;    //!< Per output: input bids.
     std::vector<int> want_;      //!< [in * v + vc] requested output.
     std::vector<int> stage1Vc_;  //!< Stage-1 winner VC per input port.
@@ -173,11 +202,7 @@ class SpeculativeSwitchAllocator : public SwitchAllocatorBase
   private:
     SeparableSwitchAllocator nonspec_;
     SeparableSwitchAllocator spec_;
-
-    // Reused per-call scratch (hot path).
-    std::vector<SaRequest> ns_;
-    std::vector<SaRequest> sp_;
-    std::vector<SaGrant> grants_;
+    std::vector<SaGrant> grants_;   //!< Reused result storage.
 };
 
 } // namespace pdr::arb

@@ -5,16 +5,12 @@
 namespace pdr::arb {
 
 VcAllocator::VcAllocator(int p, int v)
-    : p_(p), v_(v), nivcWords_(wordsFor(p * v))
+    : p_(p), v_(v), nivcWords_(wordsFor(p * v)), outputVcArb_(p * v, p * v)
 {
     pdr_assert(p >= 1 && p <= kWordBits);
     pdr_assert(v >= 1 && v <= kWordBits);
     int nivc = p * v;
     firstStagePtr_.assign(nivc, 0);
-    outputVcArb_.reserve(nivc);
-    // pdr-lint: allow(PDR-PERF-DENSESCAN) one-time construction
-    for (int i = 0; i < nivc; i++)
-        outputVcArb_.emplace_back(nivc);
     bids_.assign(std::size_t(nivc) * nivcWords_, 0);
     staged_.assign(nivcWords_, 0);
     freeScratch_.assign(p, 0);
@@ -52,11 +48,16 @@ VcAllocator::allocate(const std::vector<VaRequest> &requests,
 
     // Stage 2: per contested output VC (in first-pick order, each once),
     // a (p*v):1 matrix arbiter over the staged bid row.
+    const bool one_word = nivcWords_ == 1;
     for (int ovc_idx : contested_) {
         std::uint64_t *row = &bids_[std::size_t(ovc_idx) * nivcWords_];
-        int winner = outputVcArb_[ovc_idx].arbitrateMask(row);
+        int winner = one_word ? outputVcArb_.arbitrateWord(ovc_idx, row[0])
+                              : outputVcArb_.arbitrate(ovc_idx, row);
         if (winner != NoGrant) {
-            outputVcArb_[ovc_idx].update(winner);
+            if (one_word)
+                outputVcArb_.updateWord(ovc_idx, winner);
+            else
+                outputVcArb_.update(ovc_idx, winner);
             grants_.push_back({winner / v_, winner % v_,
                                ovc_idx / v_, ovc_idx % v_});
             // Advance the winner's stage-1 pointer so it spreads load
@@ -94,8 +95,7 @@ VcAllocator::dumpState(std::vector<std::uint8_t> &out) const
 {
     for (int ptr : firstStagePtr_)
         out.push_back(std::uint8_t(ptr));
-    for (const auto &a : outputVcArb_)
-        a.dumpState(out);
+    outputVcArb_.dumpState(out);
 }
 
 } // namespace pdr::arb

@@ -16,7 +16,10 @@
  * per output port (bit i set = output VC i free); stage 1 is then a
  * rotated find-first-set over (vcMask & free word) instead of a
  * predicate-call scan, and stage 2 stages one packed (p*v)-wide bid row
- * per contested output VC.  The dense predicate-driven reference
+ * per contested output VC.  The stage-2 arbiters share one contiguous
+ * MatrixArbiterSlab; when a (p*v)-wide row fits in one word (p * v <=
+ * 64, e.g. the paper's 5 x 2 router) stage 2 takes the single-word
+ * arbitrateWord/updateWord forms.  The dense predicate-driven reference
  * implementation is retained verbatim as ScalarVcAllocator in
  * scalar_oracle.hh; grants and priority evolution are bit-identical
  * (tests/arb/test_alloc_equiv.cc).
@@ -108,7 +111,7 @@ class VcAllocator : public VcAllocatorBase
     std::vector<int> firstStagePtr_;
     /** Stage-2 matrix arbiter per output VC (index outPort*v + outVc),
      *  arbitrating p*v input VCs. */
-    std::vector<MatrixArbiter> outputVcArb_;
+    MatrixArbiterSlab outputVcArb_;
 
     // Reused per-call scratch (hot path: one call per router per
     // cycle).  bids_ rows and the staged_ bits are zeroed again before

@@ -79,6 +79,8 @@ Router::Router(sim::NodeId id, const RouterConfig &cfg,
     // ablation: its bids feed the shared separable allocator).
     specBids_ = cfg_.model == RouterModel::SpecVirtualChannel &&
                 !cfg_.singleCycle;
+    adaptive_ = routing_.isAdaptive();
+    creditProc_ = cfg_.effectiveCreditProc();
 }
 
 void
@@ -96,7 +98,8 @@ Router::connectOutput(int port, FlitChannel *out, CreditChannel *credit_in,
     pdr_assert(port >= 0 && port < cfg_.numPorts);
     outputs_[port].out = out;
     outputs_[port].creditIn = credit_in;
-    outputs_[port].isSink = is_sink;
+    const std::uint64_t bit = std::uint64_t(1) << port;
+    sinkPorts_ = is_sink ? (sinkPorts_ | bit) : (sinkPorts_ & ~bit);
 }
 
 int
@@ -118,9 +121,10 @@ int
 Router::auditPendingCredits(int out_port, int out_vc) const
 {
     int n = 0;
-    for (const auto &pc : pendingCredits_)
+    pendingCredits_.forEach([&](const PendingCredit &pc) {
         if (pc.port == out_port && pc.vc == out_vc)
             n++;
+    });
     return n;
 }
 
@@ -199,7 +203,7 @@ Router::quiescent() const
 bool
 Router::hasCredit(int out_port, int out_vc) const
 {
-    return outputs_[out_port].isSink ||
+    return isSink(out_port) ||
            outCredits_[vidx(out_port, out_vc)] > 0;
 }
 
@@ -207,7 +211,7 @@ int
 Router::portScore(int out_port) const
 {
     const auto &op = outputs_[out_port];
-    if (op.isSink)
+    if (isSink(out_port))
         return cfg_.numVcs * cfg_.bufDepth + 1;
     if (cfg_.model == RouterModel::Wormhole) {
         if (op.heldBy != sim::Invalid)
@@ -235,6 +239,11 @@ Router::portScore(int out_port) const
 int
 Router::selectRoute(const sim::Flit &head)
 {
+    if (!adaptive_) {
+        int port = routing_.route(id_, head);
+        pdr_assert(port >= 0 && port < cfg_.numPorts);
+        return port;
+    }
     routing_.candidates(id_, head, candScratch_);
     pdr_assert(!candScratch_.empty());
     int best = candScratch_.front();
@@ -277,17 +286,23 @@ Router::tick(sim::Cycle now)
 void
 Router::receiveCredits(sim::Cycle now)
 {
-    // Accept newly arrived credits into the processing pipeline first:
-    // with proc == 0 a credit is usable by this very cycle's allocation.
-    int proc = cfg_.effectiveCreditProc();
+    // Accept newly arrived credits into the processing pipeline first.
+    // With proc == 0 a credit is usable by this very cycle's allocation,
+    // so it is applied on arrival and never queued.
     for (int port = 0; port < cfg_.numPorts; port++) {
         auto *chan = outputs_[port].creditIn;
         if (!chan)
             continue;
         while (auto c = chan->pop(now)) {
             pdr_assert(c->vc >= 0 && c->vc < cfg_.numVcs);
-            pendingCredits_.push_back(
-                {now + sim::Cycle(proc), port, c->vc});
+            if (creditProc_ == 0) {
+                int &credits = outCredits_[vidx(port, c->vc)];
+                credits++;
+                pdr_assert(credits <= cfg_.bufDepth);
+            } else {
+                pendingCredits_.push_back(
+                    {now + sim::Cycle(creditProc_), port, c->vc});
+            }
         }
     }
 
@@ -309,21 +324,21 @@ Router::receiveFlits(sim::Cycle now)
         if (!chan)
             continue;
         while (auto r = chan->pop(now)) {
-            sim::Flit &f = pool_.get(*r);
+            const sim::Flit &f = pool_.get(*r);
             pdr_assert(f.vc >= 0 && f.vc < cfg_.numVcs);
             auto &ivc = invc(port, f.vc);
             pdr_assert(ivc.fifo.size() < cfg_.bufDepth);
-            f.eligible = now + firstActionDelay();
+            const sim::Cycle eligible = now + firstActionDelay();
             if (sim::isHead(f.type) && ivc.state == VcState::Idle) {
                 // Empty VC: decode + route this packet immediately (the
                 // RC stage); otherwise the head waits for takeover when
                 // the previous tail departs.
                 pdr_assert(ivc.fifo.empty());
                 ivc.state = VcState::RouteWait;
-                ivc.route = selectRoute(f);
-                ivc.actReady = f.eligible;
+                routeHead(ivc, f);
+                ivc.actReady = eligible;
             }
-            ivc.fifo.push(*r);
+            ivc.fifo.push(*r, eligible);
             bufferedNow_++;
             syncBid(vidx(port, f.vc));
             stats_.flitsIn++;
@@ -361,13 +376,15 @@ Router::vaPhase(sim::Cycle now)
         const int port = vi / v, vc = vi % v;
         const auto &head = pool_.get(ivc.fifo.front());
         pdr_assert(sim::isHead(head.type));
-        if (routing_.isAdaptive()) {
+        if (adaptive_) {
             // Footnote 5: re-iterate through the routing function
             // on every attempt, picking one output port.
-            ivc.route = selectRoute(head);
+            routeHead(ivc, head);
         }
-        vaReqs_.push_back({port, vc, ivc.route,
-                           routing_.vcMask(head, id_, ivc.route, v)});
+        // A request with no free candidate output VC cannot win and
+        // leaves the allocator's state untouched, so it is not staged.
+        if (std::uint64_t(ivc.vcMask) & outFree_[ivc.route])
+            vaReqs_.push_back({port, vc, ivc.route, ivc.vcMask});
         if (specBids_) {
             // Speculative switch bid issued in parallel with the VA
             // request, before its outcome is known.
@@ -398,7 +415,6 @@ Router::vaPhase(sim::Cycle now)
         outFree_[g.outPort] &= ~(std::uint64_t(1) << g.outVc);
         ivc.outVc = g.outVc;
         ivc.state = VcState::Active;
-        ivc.vaGrantTick = now;
         ivc.vaGrantedNow = true;
         vaGranted_.push_back(vi);
         syncBid(vi);
@@ -422,15 +438,15 @@ Router::saPhaseWormhole(sim::Cycle now)
     auto considerPort = [&](int port) {
         auto &ivc = invc(port, 0);
         pdr_assert(!ivc.fifo.empty());
-        const auto &f = pool_.get(ivc.fifo.front());
-        if (now < f.eligible)
+        if (now < ivc.fifo.frontEligible())
             return;
         if (ivc.state == VcState::RouteWait && now >= ivc.actReady) {
             // Head arbitrates for a free output port; it also needs a
             // downstream buffer to move into.
+            const auto &f = pool_.get(ivc.fifo.front());
             pdr_assert(sim::isHead(f.type));
-            if (routing_.isAdaptive())
-                ivc.route = selectRoute(f);
+            if (adaptive_)
+                routeHead(ivc, f);
             if (outputs_[ivc.route].heldBy != sim::Invalid) {
                 closeStall(ivc, now);   // Held port, not a credit stall.
             } else if (hasCredit(ivc.route, 0)) {
@@ -493,8 +509,7 @@ Router::saPhaseVc(sim::Cycle now)
         pdr_assert(ivc.state == VcState::Active && !ivc.fifo.empty());
         if (ivc.vaGrantedNow && !cfg_.singleCycle)
             return;     // Covered by its speculative bid (specVC).
-        const auto &f = pool_.get(ivc.fifo.front());
-        if (now < f.eligible || now < ivc.saReady)
+        if (now < ivc.fifo.frontEligible() || now < ivc.saReady)
             return;
         if (!hasCredit(ivc.route, ivc.outVc)) {
             extendStall(ivc, now);
@@ -540,13 +555,12 @@ Router::saPhaseVc(sim::Cycle now)
                 continue;
             stats_.specSaUseful++;
         }
-        if (sim::isHead(pool_.get(ivc.fifo.front()).type))
+        if (departFlit(g.inPort, g.inVc, ivc.route, ivc.outVc, now))
             stats_.headGrants++;
-        departFlit(g.inPort, g.inVc, ivc.route, ivc.outVc, now);
     }
 }
 
-void
+bool
 Router::departFlit(int in_port, int in_vc, int out_port, int out_vc,
                    sim::Cycle now)
 {
@@ -562,7 +576,7 @@ Router::departFlit(int in_port, int in_vc, int out_port, int out_vc,
         inputs_[in_port].creditOut->push(sim::Credit{in_vc}, now);
 
     auto &op = outputs_[out_port];
-    if (!op.isSink) {
+    if (!isSink(out_port)) {
         pdr_assert(outCredits_[vidx(out_port, out_vc)] > 0);
         outCredits_[vidx(out_port, out_vc)]--;
     }
@@ -576,11 +590,13 @@ Router::departFlit(int in_port, int in_vc, int out_port, int out_vc,
     op.out->push(ref, now, st_extra);
     stats_.flitsOut++;
 
-    if (sim::isTail(f.type))
+    const sim::FlitType type = f.type;
+    if (sim::isTail(type))
         releaseAndTakeOver(in_port, in_vc, out_port, out_vc, now);
     // One re-sync after pop (and possible tail takeover) covers every
     // state this VC can land in.
     syncBid(vidx(in_port, in_vc));
+    return sim::isHead(type);
 }
 
 void
@@ -594,7 +610,7 @@ Router::releaseAndTakeOver(int in_port, int in_vc, int out_port,
         pdr_assert(op.heldBy == in_port);
         op.heldBy = sim::Invalid;
     } else {
-        pdr_assert(op.isSink ||
+        pdr_assert(isSink(out_port) ||
                    !((outFree_[out_port] >> out_vc) & 1u));
         outFree_[out_port] |= std::uint64_t(1) << out_vc;
     }
@@ -611,9 +627,9 @@ Router::releaseAndTakeOver(int in_port, int in_vc, int out_port,
     const auto &head = pool_.get(ivc.fifo.front());
     pdr_assert(sim::isHead(head.type));
     ivc.state = VcState::RouteWait;
-    ivc.route = selectRoute(head);
+    routeHead(ivc, head);
     ivc.actReady =
-        std::max(head.eligible, now + firstActionDelay());
+        std::max(ivc.fifo.frontEligible(), now + firstActionDelay());
 }
 
 sim::Cycle
@@ -639,10 +655,10 @@ Router::nextWake(sim::Cycle now)
     auto check = [&](std::size_t vi) -> bool {
         InputVc &ivc = invcs_[vi];
         pdr_assert(!ivc.fifo.empty());
-        const sim::Flit &f = pool_.get(ivc.fifo.front());
+        const sim::Cycle eligible = ivc.fifo.frontEligible();
         if (wh) {
             if (ivc.state == VcState::RouteWait) {
-                sim::Cycle r = std::max(f.eligible, ivc.actReady);
+                sim::Cycle r = std::max(eligible, ivc.actReady);
                 if (r > now) {
                     t = std::min(t, r);
                 } else if (outputs_[ivc.route].heldBy !=
@@ -656,8 +672,8 @@ Router::nextWake(sim::Cycle now)
                     openStall(ivc, now + 1);
                 }
             } else if (ivc.state == VcState::Active) {
-                if (f.eligible > now)
-                    t = std::min(t, f.eligible);
+                if (eligible > now)
+                    t = std::min(t, eligible);
                 else if (hasCredit(ivc.route, 0))
                     return true;        // Flit can depart.
                 else
@@ -676,12 +692,10 @@ Router::nextWake(sim::Cycle now)
                 // a free candidate output VC.  All-busy candidates
                 // free only during our own ticks (tail
                 // departures), so such a VC does not pin us awake.
-                std::uint32_t mask =
-                    routing_.vcMask(f, id_, ivc.route, v);
-                if (std::uint64_t(mask) & outFree_[ivc.route])
+                if (std::uint64_t(ivc.vcMask) & outFree_[ivc.route])
                     return true;        // VA can grant someone.
             } else if (ivc.state == VcState::Active) {
-                sim::Cycle r = std::max(f.eligible, ivc.saReady);
+                sim::Cycle r = std::max(eligible, ivc.saReady);
                 if (r > now)
                     t = std::min(t, r);
                 else if (hasCredit(ivc.route, ivc.outVc))
@@ -749,10 +763,11 @@ Router::traceOpenStalls(sim::Cycle now)
     if (!stallTrace_)
         return;
     for (const auto &ivc : invcs_) {
-        if (ivc.stallSince != sim::CycleNever && now > ivc.stallOpen) {
+        const sim::Cycle open =
+            stallOpen_[std::size_t(&ivc - invcs_.data())];
+        if (ivc.stallSince != sim::CycleNever && now > open) {
             stallTrace_->push_back(
-                {std::uint32_t(&ivc - invcs_.data()), ivc.stallOpen,
-                 now});
+                {std::uint32_t(&ivc - invcs_.data()), open, now});
         }
     }
 }

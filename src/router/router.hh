@@ -31,7 +31,6 @@
 #ifndef PDR_ROUTER_ROUTER_HH
 #define PDR_ROUTER_ROUTER_HH
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,6 +43,7 @@
 #include "sim/channel.hh"
 #include "sim/flit.hh"
 #include "sim/flit_pool.hh"
+#include "sim/ring.hh"
 
 namespace pdr::router {
 
@@ -159,7 +159,12 @@ class Router
      * router -- under partitioned stepping each router appends from
      * its owning worker.  Zero-length intervals are not recorded.
      */
-    void traceStalls(std::vector<StallSpan> *out) { stallTrace_ = out; }
+    void
+    traceStalls(std::vector<StallSpan> *out)
+    {
+        stallTrace_ = out;
+        stallOpen_.assign(out ? invcs_.size() : 0, sim::CycleNever);
+    }
 
     /** Flush intervals still open at end-of-run as spans ending at
      *  `now` (no-op unless traceStalls is attached; statistics are
@@ -210,26 +215,26 @@ class Router
         Active,     //!< Resources held; flits flow through SA/ST.
     };
 
-    /** Per input virtual channel (per input port for WH). */
+    /** Per input virtual channel (per input port for WH), packed into
+     *  64 bytes, a cache line's size. */
     struct InputVc
     {
         sim::FlitFifo fifo;         //!< bufDepth-capacity handle ring.
         VcState state = VcState::Idle;
-        sim::Cycle actReady = 0;    //!< Earliest first allocation action.
-        sim::Cycle saReady = 0;     //!< Earliest switch request (VC).
-        sim::Cycle vaGrantTick = 0; //!< When VA succeeded (spec check).
         bool vaGrantedNow = false;  //!< VA granted in the current tick.
         int route = sim::Invalid;   //!< Routed output port.
         int outVc = sim::Invalid;   //!< Allocated output VC.
+        /** Output VCs the head may take on `route` (the routing
+         *  function's vcMask), cached whenever the route is chosen. */
+        std::uint32_t vcMask = 0;
+        sim::Cycle actReady = 0;    //!< Earliest first allocation action.
+        sim::Cycle saReady = 0;     //!< Earliest switch request (VC).
         /** Start of the open credit-stall interval (CycleNever when
          *  not stalled); cycles up to the last observation are already
          *  folded into stats_.creditStallCycles. */
         sim::Cycle stallSince = sim::CycleNever;
-        /** First cycle of the whole open stall (stallSince tracks only
-         *  the not-yet-folded suffix); maintained only while a
-         *  stall-span trace is attached. */
-        sim::Cycle stallOpen = sim::CycleNever;
     };
+    static_assert(sizeof(InputVc) == 64, "InputVc fits a cache line's size");
 
     // Hot per-VC state lives in flat structure-of-arrays slabs indexed
     // [port * numVcs + vc] (vidx) rather than nested per-port vectors:
@@ -247,7 +252,6 @@ class Router
     {
         FlitChannel *out = nullptr;
         CreditChannel *creditIn = nullptr;
-        bool isSink = false;
         int heldBy = sim::Invalid;  //!< Wormhole per-packet port hold.
     };
 
@@ -266,8 +270,9 @@ class Router
     void saPhaseWormhole(sim::Cycle now);
     void saPhaseVc(sim::Cycle now);
 
-    /** Dequeue the front flit of (port, vc) and send it out. */
-    void departFlit(int in_port, int in_vc, int out_port, int out_vc,
+    /** Dequeue the front flit of (port, vc) and send it out; returns
+     *  whether it was a head flit. */
+    bool departFlit(int in_port, int in_vc, int out_port, int out_vc,
                     sim::Cycle now);
     /** Tail departed: free VC/port and hand the FIFO to the next head. */
     void releaseAndTakeOver(int in_port, int in_vc, int out_port,
@@ -304,7 +309,7 @@ class Router
         if (ivc.stallSince != sim::CycleNever)
             stats_.creditStallCycles += now - ivc.stallSince;
         else if (stallTrace_)
-            ivc.stallOpen = now;    // A new stall begins here.
+            stallOpen(ivc) = now;   // A new stall begins here.
         ivc.stallSince = now;
     }
     /** Observed (port, vc) not stalled at `now`: close the interval
@@ -315,10 +320,10 @@ class Router
         if (ivc.stallSince != sim::CycleNever) {
             stats_.creditStallCycles += now - ivc.stallSince;
             ivc.stallSince = sim::CycleNever;
-            if (stallTrace_ && now > ivc.stallOpen) {
+            if (stallTrace_ && now > stallOpen(ivc)) {
                 stallTrace_->push_back(
                     {std::uint32_t(&ivc - invcs_.data()),
-                     ivc.stallOpen, now});
+                     stallOpen(ivc), now});
             }
         }
     }
@@ -336,7 +341,7 @@ class Router
         if (ivc.stallSince == sim::CycleNever) {
             ivc.stallSince = at;
             if (stallTrace_)
-                ivc.stallOpen = at;
+                stallOpen(ivc) = at;
         }
     }
 
@@ -347,6 +352,15 @@ class Router
      * attempt, per the paper's footnote-5 re-iteration policy).
      */
     int selectRoute(const sim::Flit &head);
+    /** Route the head at the front of `ivc` (selectRoute) and cache
+     *  its output-VC mask for the chosen port. */
+    void
+    routeHead(InputVc &ivc, const sim::Flit &head)
+    {
+        ivc.route = selectRoute(head);
+        ivc.vcMask =
+            routing_.vcMask(head, id_, ivc.route, cfg_.numVcs);
+    }
     /** Free downstream buffer space through `out_port` (adaptivity
      *  metric). */
     int portScore(int out_port) const;
@@ -358,6 +372,11 @@ class Router
 
     std::vector<InputPort> inputs_;
     std::vector<OutputPort> outputs_;
+    /** Ejection ports (bit p set = output p is a sink, with infinite
+     *  downstream buffering); one word, so credit checks need no
+     *  OutputPort load. */
+    std::uint64_t sinkPorts_ = 0;
+    bool isSink(int out_port) const { return (sinkPorts_ >> out_port) & 1u; }
 
     // SoA per-VC slabs, all indexed by vidx(port, vc).
     std::vector<InputVc> invcs_;        //!< Input VC pipeline state.
@@ -408,7 +427,11 @@ class Router
             bidActive_[w] &= ~bit;
     }
 
-    std::deque<PendingCredit> pendingCredits_;
+    /** Received credits maturing through the processing pipeline, in
+     *  applyAt order; always empty when creditProc_ == 0, because such
+     *  credits are applied on arrival. */
+    sim::Ring<PendingCredit> pendingCredits_;
+    int creditProc_ = 0;    //!< cfg_.effectiveCreditProc(), cached.
 
     /**
      * Interval-accounted input-buffer occupancy (stats_.bufOccupancy):
@@ -422,11 +445,27 @@ class Router
 
     /** Telemetry stall-span sink (traceStalls); nullptr = off. */
     std::vector<StallSpan> *stallTrace_ = nullptr;
+    /**
+     * First cycle of each VC's whole open stall, by vidx (stallSince
+     * tracks only the not-yet-folded suffix).  Sized and maintained
+     * only while a stall-span trace is attached, so the cold field
+     * stays out of InputVc.
+     */
+    std::vector<sim::Cycle> stallOpen_;
+    sim::Cycle &
+    stallOpen(const InputVc &ivc)
+    {
+        return stallOpen_[std::size_t(&ivc - invcs_.data())];
+    }
 
     /** Speculative switch bids are issued for every ready RouteWait VC
      *  each cycle (evolving arbiter state + specSaAttempts), so such
      *  VCs pin the router awake; cached model predicate. */
     bool specBids_ = false;
+
+    /** routing_.isAdaptive(), cached: deterministic routings skip the
+     *  candidates() vector and the per-attempt re-route. */
+    bool adaptive_ = false;
 
     // Allocators (constructed per model; the bitmask engine by
     // default, the dense scalar oracle under cfg.scalarAlloc -- same

@@ -65,7 +65,7 @@ Auditor::checkPoolLeaks(const FlitPool &pool,
                      nleaked > 8 ? ", ..." : "", pool.liveCount(),
                      reachable.size()));
     // Count consistency: the pool's own live tally must match the
-    // liveness bitmap the scan above walked.
+    // per-slot liveness flags the scan above walked.
     require(pool.liveCount() == reachable.size(), at, who, "AUD-LEAK",
             csprintf("pool live count %zu != reachable count %zu "
                      "(shard live-delta accounting drifted)",

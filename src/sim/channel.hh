@@ -29,28 +29,43 @@
  * later, draining at the end of cycle t is indistinguishable from the
  * serial immediate push, and the min() wake update reproduces the
  * serial wake table exactly whatever the intra-cycle tick order was.
+ *
+ * The in-flight items live in a sim::Ring (a growable power-of-two
+ * ring).  Each channel has one producer port, and a port sends at most
+ * one item per cycle: the switch allocators grant at most one flit per
+ * output port and per input port, so a router output emits at most one
+ * flit and an input buffer frees (and credits back) at most one slot
+ * per cycle, and a source injects at most one flit per cycle.  With the
+ * sender's extra delay constant, ready cycles are therefore strictly
+ * increasing and a channel delivers at most one item per ready cycle.
+ * A channel thus holds at most latency + extra items, the ring reaches
+ * its steady size after the first few pushes, and the hot path never
+ * allocates.
  */
 
 #ifndef PDR_SIM_CHANNEL_HH
 #define PDR_SIM_CHANNEL_HH
 
-#include <deque>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "common/logging.hh"
+#include "sim/ring.hh"
 #include "sim/types.hh"
 
 namespace pdr::sim {
 
-/** A fixed-latency delay line carrying items of type T. */
+/** A fixed-latency delay line carrying items of type T.  The fields a
+ *  push or pop touches come first, within 40 bytes. */
 template <typename T>
 class Channel
 {
   public:
-    explicit Channel(Cycle latency = 1) : latency_(latency)
+    explicit Channel(Cycle latency = 1)
+        : latency_(std::uint32_t(latency))
     {
-        pdr_assert(latency >= 1);
+        pdr_assert(latency >= 1 && latency == latency_);
     }
 
     /** Wire propagation latency in cycles. */
@@ -59,12 +74,14 @@ class Channel
     /**
      * Wire up wake notification: pushes lower `(*wake_at)[comp]` to the
      * pushed item's ready cycle, scheduling the consuming component.
+     * The channel keeps a pointer to that entry, so the table must not
+     * be resized while the channel is watched.
      */
     void
     watch(std::vector<Cycle> *wake_at, std::size_t comp)
     {
-        wakeAt_ = wake_at;
-        comp_ = comp;
+        pdr_assert(comp < wake_at->size());
+        wake_ = &(*wake_at)[comp];
     }
 
     /**
@@ -87,8 +104,8 @@ class Channel
         }
         pdr_assert(q_.empty() || q_.back().ready <= ready);
         q_.push_back({ready, item});
-        if (wakeAt_ && ready < (*wakeAt_)[comp_])
-            (*wakeAt_)[comp_] = ready;
+        if (wake_ && ready < *wake_)
+            *wake_ = ready;
     }
 
     /**
@@ -115,8 +132,8 @@ class Channel
         for (const Entry &e : staged_) {
             pdr_assert(q_.empty() || q_.back().ready <= e.ready);
             q_.push_back(e);
-            if (wakeAt_ && e.ready < (*wakeAt_)[comp_])
-                (*wakeAt_)[comp_] = e.ready;
+            if (wake_ && e.ready < *wake_)
+                *wake_ = e.ready;
         }
         staged_.clear();
     }
@@ -154,8 +171,7 @@ class Channel
     void
     forEachInFlight(Fn fn) const
     {
-        for (const Entry &e : q_)
-            fn(e.ready, e.item);
+        q_.forEach([&fn](const Entry &e) { fn(e.ready, e.item); });
     }
 
   private:
@@ -165,13 +181,17 @@ class Channel
         T item;
     };
 
-    Cycle latency_;
-    std::deque<Entry> q_;
-    std::vector<Entry> staged_;             //!< Cross-partition buffer.
-    std::vector<Cycle> *wakeAt_ = nullptr;  //!< Consumer wake table.
-    std::size_t comp_ = 0;                  //!< Consumer component id.
-    bool staging_ = false;                  //!< Crosses a partition.
+    // Fields every push and pop touch come first; the cross-partition
+    // staging buffer, used only under partitioned stepping, comes last.
+    Ring<Entry> q_;
+    Cycle *wake_ = nullptr;         //!< Consumer's wake-table entry.
+    std::uint32_t latency_;
+    bool staging_ = false;          //!< Crosses a partition.
+    std::vector<Entry> staged_;     //!< Cross-partition buffer.
 };
+
+static_assert(sizeof(Channel<std::uint32_t>) == 64,
+              "a 4-byte-item channel fits a cache line's size");
 
 } // namespace pdr::sim
 

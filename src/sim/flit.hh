@@ -57,9 +57,6 @@ struct Flit
     std::uint8_t seq = 0;   //!< Position within the packet (0-based).
     Cycle ctime = 0;        //!< Packet creation time (head's value used).
     bool measured = false;  //!< Belongs to the measurement sample space.
-
-    // Per-hop bookkeeping (not part of the "wire" format).
-    Cycle eligible = 0;     //!< Earliest tick for the next pipeline action.
 };
 
 /** A credit returned upstream when a flit leaves an input buffer. */

@@ -14,7 +14,7 @@
  *   - alloc() pops the most recently freed slot (cache-warm) or grows
  *     the slab; after warm-up a network allocates nothing.
  *   - free() returns a slot; double-free and use-after-free are caught
- *     by an always-on liveness bitmap (pdr_assert).
+ *     by an always-on per-slot liveness flag (pdr_assert).
  *   - Slot reuse is deterministic: the handle sequence depends only on
  *     the (deterministic) order of alloc/free calls, never on address
  *     layout, so pooled and unpooled simulations stay bit-identical.
@@ -39,7 +39,8 @@
  *
  * FlitFifo is the router-input-buffer queue: capacity fixed at
  * construction (the buffer depth), a plain ring over contiguous
- * storage, no allocation after init().
+ * storage, no allocation after init().  Each slot carries the flit's
+ * eligible cycle next to its handle.
  */
 
 #ifndef PDR_SIM_FLIT_POOL_HH
@@ -47,6 +48,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -71,7 +73,6 @@ class FlitPool
     void reserve(std::size_t n)
     {
         slots_.reserve(n);
-        alive_.reserve(n);
         shards_[0].freeList.reserve(n);
     }
 
@@ -156,13 +157,12 @@ class FlitPool
                            slots_.size() < slots_.capacity());
                 ref = FlitRef(slots_.size());
                 slots_.emplace_back();
-                alive_.push_back(false);
                 numSlots_.store(std::uint32_t(slots_.size()),
                                 std::memory_order_relaxed);
             }
         }
-        pdr_assert(!alive_[ref]);
-        alive_[ref] = true;
+        pdr_assert(!slots_[ref].alive);
+        slots_[ref].alive = true;
         sh.live++;
         return ref;
     }
@@ -173,8 +173,8 @@ class FlitPool
     free(FlitRef ref, int shard = 0)
     {
         pdr_assert(ref < numSlots());
-        pdr_assert(alive_[ref]);
-        alive_[ref] = false;
+        pdr_assert(slots_[ref].alive);
+        slots_[ref].alive = false;
         Shard &sh = shards_[std::size_t(shard)];
         sh.live--;
         sh.freeList.push_back(ref);
@@ -194,21 +194,21 @@ class FlitPool
     Flit &
     get(FlitRef ref)
     {
-        pdr_assert(ref < numSlots() && alive_[ref]);
-        return slots_[ref];
+        pdr_assert(ref < numSlots() && slots_[ref].alive);
+        return slots_[ref].flit;
     }
 
     const Flit &
     get(FlitRef ref) const
     {
-        pdr_assert(ref < numSlots() && alive_[ref]);
-        return slots_[ref];
+        pdr_assert(ref < numSlots() && slots_[ref].alive);
+        return slots_[ref].flit;
     }
 
     /** Slot `ref` currently holds a live flit. */
     bool alive(FlitRef ref) const
     {
-        return ref < numSlots() && alive_[ref];
+        return ref < numSlots() && slots_[ref].alive;
     }
 
     /** Flits currently live (in some queue between source and sink). */
@@ -253,15 +253,28 @@ class FlitPool
     static constexpr std::size_t kSpillAt = 512;
     static constexpr std::size_t kBatch = 128;
 
-    std::vector<Flit> slots_;
-    std::vector<char> alive_;       //!< Liveness bitmap (1 byte/slot).
+    /** One pooled flit plus its liveness flag (64 bytes), so get() and
+     *  its liveness check read one contiguous slot. */
+    struct Slot
+    {
+        Flit flit;
+        bool alive = false;
+    };
+
+    std::vector<Slot> slots_;
     std::atomic<std::uint32_t> numSlots_{0};    //!< == slots_.size().
     std::vector<Shard> shards_;     //!< >= 1 entries; [0] is serial.
     std::vector<FlitRef> globalFree_;   //!< Guarded by growMutex_.
     std::mutex growMutex_;          //!< Guards growth + globalFree_.
 };
 
-/** Fixed-capacity FIFO of flit handles (a router input buffer). */
+/**
+ * Fixed-capacity FIFO of flit handles (a router input buffer).  Each
+ * slot also holds its flit's eligible cycle -- the earliest tick at
+ * which the flit may take its next pipeline action -- so the router's
+ * allocation scans and nextWake read a front flit's timing from the
+ * FIFO's own storage instead of dereferencing the pool.
+ */
 class FlitFifo
 {
   public:
@@ -270,30 +283,40 @@ class FlitFifo
     init(int capacity)
     {
         pdr_assert(capacity >= 1);
-        ring_.assign(std::size_t(capacity), NullFlit);
+        ring_ = std::make_unique<Slot[]>(std::size_t(capacity));
+        cap_ = std::uint32_t(capacity);
         head_ = 0;
         size_ = 0;
     }
 
     bool empty() const { return size_ == 0; }
-    int size() const { return size_; }
-    int capacity() const { return int(ring_.size()); }
+    int size() const { return int(size_); }
+    int capacity() const { return int(cap_); }
 
     FlitRef
     front() const
     {
         pdr_assert(size_ > 0);
-        return ring_[head_];
+        return ring_[head_].ref;
     }
 
-    void
-    push(FlitRef ref)
+    /** Eligible cycle of the front flit. */
+    Cycle
+    frontEligible() const
     {
-        pdr_assert(size_ < int(ring_.size()));
-        std::size_t tail = head_ + std::size_t(size_);
-        if (tail >= ring_.size())
-            tail -= ring_.size();
-        ring_[tail] = ref;
+        pdr_assert(size_ > 0);
+        return ring_[head_].eligible;
+    }
+
+    /** Append `ref`, which may act from cycle `eligible` on. */
+    void
+    push(FlitRef ref, Cycle eligible)
+    {
+        pdr_assert(size_ < cap_);
+        std::uint32_t tail = head_ + size_;
+        if (tail >= cap_)
+            tail -= cap_;
+        ring_[tail] = Slot{eligible, ref};
         size_++;
     }
 
@@ -301,9 +324,9 @@ class FlitFifo
     pop()
     {
         pdr_assert(size_ > 0);
-        FlitRef ref = ring_[head_];
+        FlitRef ref = ring_[head_].ref;
         head_++;
-        if (head_ >= ring_.size())
+        if (head_ >= cap_)
             head_ = 0;
         size_--;
         return ref;
@@ -315,19 +338,28 @@ class FlitFifo
     void
     forEach(Fn fn) const
     {
-        std::size_t i = head_;
-        for (int n = 0; n < size_; n++) {
-            fn(ring_[i]);
+        std::uint32_t i = head_;
+        for (std::uint32_t n = 0; n < size_; n++) {
+            fn(ring_[i].ref);
             i++;
-            if (i >= ring_.size())
+            if (i >= cap_)
                 i = 0;
         }
     }
 
   private:
-    std::vector<FlitRef> ring_;
-    std::size_t head_ = 0;
-    int size_ = 0;
+    struct Slot
+    {
+        Cycle eligible = 0;
+        FlitRef ref = NullFlit;
+    };
+
+    // Pointer plus 32-bit indices keep the FIFO header at 24 bytes, so
+    // a router's per-VC state fits in 64 bytes.
+    std::unique_ptr<Slot[]> ring_;
+    std::uint32_t cap_ = 0;
+    std::uint32_t head_ = 0;
+    std::uint32_t size_ = 0;
 };
 
 } // namespace pdr::sim

@@ -43,6 +43,7 @@ Lattice::Lattice(std::vector<int> radices, std::vector<bool> wraps,
         }
     }
     numRouters_ = int(routers);
+    anyWrap_ = std::find(wrap_.begin(), wrap_.end(), true) != wrap_.end();
 }
 
 Lattice
@@ -63,15 +64,6 @@ Lattice
 Lattice::cmesh(int k, int c)
 {
     return Lattice({k, k}, {false, false}, c);
-}
-
-bool
-Lattice::wraps() const
-{
-    for (bool w : wrap_)
-        if (w)
-            return true;
-    return false;
 }
 
 int
@@ -130,7 +122,7 @@ Lattice::neighbor(sim::NodeId router, int port) const
 }
 
 bool
-Lattice::isWrapLink(sim::NodeId router, int port) const
+Lattice::wrapLinkIn(sim::NodeId router, int port) const
 {
     if (!isDirectional(port))
         return false;

@@ -62,7 +62,7 @@ class Lattice
     int radix(int d) const { return radix_[std::size_t(d)]; }
     bool wraps(int d) const { return wrap_[std::size_t(d)]; }
     /** Any dimension wraps (the old Mesh::wraps()). */
-    bool wraps() const;
+    bool wraps() const { return anyWrap_; }
     int concentration() const { return conc_; }
 
     int numRouters() const { return numRouters_; }
@@ -118,8 +118,13 @@ class Lattice
     sim::NodeId neighbor(sim::NodeId router, int port) const;
 
     /** True if the `port` link out of `router` is a wraparound link
-     *  (and hence a dateline for deadlock-avoidance VC classes). */
-    bool isWrapLink(sim::NodeId router, int port) const;
+     *  (and hence a dateline for deadlock-avoidance VC classes).  Meshes
+     *  have none, so they answer without any coordinate math. */
+    bool
+    isWrapLink(sim::NodeId router, int port) const
+    {
+        return anyWrap_ && wrapLinkIn(router, port);
+    }
 
     /** Minimal hop count between routers (wrap-aware). */
     int distance(sim::NodeId a, sim::NodeId b) const;
@@ -145,11 +150,15 @@ class Lattice
     }
 
   private:
+    /** isWrapLink for a lattice with a wrapping dimension. */
+    bool wrapLinkIn(sim::NodeId router, int port) const;
+
     std::vector<int> radix_;    //!< Per-dimension radix.
     std::vector<bool> wrap_;    //!< Per-dimension wraparound.
     std::vector<int> stride_;   //!< Router-id stride per dimension.
     int conc_;                  //!< Nodes per router.
     int numRouters_;
+    bool anyWrap_ = false;      //!< Some dimension wraps.
 };
 
 } // namespace pdr::topo

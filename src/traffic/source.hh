@@ -34,6 +34,7 @@
 #include "sim/channel.hh"
 #include "sim/flit.hh"
 #include "sim/flit_pool.hh"
+#include "sim/ring.hh"
 #include "traffic/measure.hh"
 #include "traffic/pattern.hh"
 
@@ -121,9 +122,10 @@ class Source
     auditPendingCredits(int vc) const
     {
         int n = 0;
-        for (const auto &pc : pendingCredits_)
+        pendingCredits_.forEach([&](const std::pair<sim::Cycle, int> &pc) {
             if (pc.second == vc)
                 n++;
+        });
         return n;
     }
 
@@ -170,7 +172,7 @@ class Source
     std::deque<PendingPacket> queue_;
     std::vector<Stream> streams_;      //!< One per injection VC.
     std::vector<int> credits_;         //!< Per injection VC.
-    std::deque<std::pair<sim::Cycle, int>> pendingCredits_;
+    sim::Ring<std::pair<sim::Cycle, int>> pendingCredits_;
     int rrVc_ = 0;                     //!< Round-robin send pointer.
     int rrAssign_ = 0;                 //!< Round-robin VC assignment.
 

@@ -250,7 +250,7 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(std::make_tuple(2, 1), std::make_tuple(5, 1),
                     std::make_tuple(8, 1), std::make_tuple(2, 2),
                     std::make_tuple(3, 4), std::make_tuple(5, 2),
-                    std::make_tuple(8, 8)),
+                    std::make_tuple(8, 8), std::make_tuple(5, 16)),
     [](const testing::TestParamInfo<std::tuple<int, int>> &info) {
         return "p" + std::to_string(std::get<0>(info.param)) + "v" +
                std::to_string(std::get<1>(info.param));

@@ -219,3 +219,132 @@ TEST_P(MatrixArbiterProperty, NoStarvationUnderRandomLoad)
 INSTANTIATE_TEST_SUITE_P(Sizes, MatrixArbiterProperty,
                          testing::Values(1, 2, 3, 4, 5, 8, 16),
                          testing::PrintToStringParamName());
+
+namespace {
+
+/** A seeded request word over n requestors; the density varies per
+ *  round so sparse, dense and single-bid rounds all occur. */
+std::uint64_t
+randomRequests(Rng &rng, int n)
+{
+    const double density = 0.05 + 0.9 * rng.uniform();
+    std::uint64_t req = 0;
+    for (int i = 0; i < n; i++) {
+        if (rng.bernoulli(density))
+            req |= std::uint64_t(1) << i;
+    }
+    return req;
+}
+
+arb::ReqRow
+unpack(const std::vector<std::uint64_t> &words, int n)
+{
+    arb::ReqRow row(n, 0);
+    for (int i = 0; i < n; i++)
+        row[i] = testBit(words.data(), i) ? 1 : 0;
+    return row;
+}
+
+} // namespace
+
+TEST(MatrixArbiter, WordPathMatchesGenericPathInLockstep)
+{
+    // Three arbiters see the same request stream: one driven through
+    // the single-word arbitrateWord/updateWord forms, one through the
+    // generic arbitrateMask/update forms, and the scalar oracle.  The
+    // winners and the serialized priority state must agree every round.
+    for (int n : {1, 2, 5, 10, 63, 64}) {
+        MatrixArbiter word(n), generic(n);
+        ScalarMatrixArbiter oracle(n);
+        ASSERT_EQ(word.words(), 1);
+        Rng rng(7000 + std::uint64_t(n));
+        std::vector<std::uint8_t> sw, sg, so;
+        for (int round = 0; round < 3000; round++) {
+            const std::uint64_t req = randomRequests(rng, n);
+            const int ww = word.arbitrateWord(req);
+            const int wg = generic.arbitrateMask(&req);
+            const int wo = oracle.arbitrate(unpack({req}, n));
+            ASSERT_EQ(ww, wg) << "n " << n << " round " << round;
+            ASSERT_EQ(ww, wo) << "n " << n << " round " << round;
+            if (ww != NoGrant) {
+                word.updateWord(ww);
+                generic.update(wg);
+                oracle.update(wo);
+            }
+            sw.clear();
+            sg.clear();
+            so.clear();
+            word.dumpState(sw);
+            generic.dumpState(sg);
+            oracle.dumpState(so);
+            ASSERT_EQ(sw, sg) << "n " << n << " round " << round;
+            ASSERT_EQ(sw, so) << "n " << n << " round " << round;
+        }
+    }
+}
+
+TEST(MatrixArbiter, SixtyFiveRequestorsTakeTheMultiWordPath)
+{
+    MatrixArbiter arb(65);
+    ScalarMatrixArbiter oracle(65);
+    ASSERT_EQ(arb.words(), 2);
+    EXPECT_DEATH((void)arb.arbitrateWord(1), "");
+    EXPECT_DEATH(arb.updateWord(0), "");
+    Rng rng(65);
+    std::vector<std::uint8_t> sa, so;
+    for (int round = 0; round < 2000; round++) {
+        std::vector<std::uint64_t> req(2, 0);
+        const double density = 0.05 + 0.9 * rng.uniform();
+        for (int i = 0; i < 65; i++) {
+            if (rng.bernoulli(density))
+                setBit(req.data(), i);
+        }
+        const int w = arb.arbitrateMask(req.data());
+        ASSERT_EQ(w, oracle.arbitrate(unpack(req, 65))) << round;
+        if (w != NoGrant) {
+            arb.update(w);
+            oracle.update(w);
+        }
+        sa.clear();
+        so.clear();
+        arb.dumpState(sa);
+        oracle.dumpState(so);
+        ASSERT_EQ(sa, so) << round;
+    }
+}
+
+TEST(MatrixArbiterSlab, EachArbiterMatchesAStandaloneOne)
+{
+    // A slab of 3 arbiters, word-sized and multi-word, driven with one
+    // stream per arbiter, against standalone MatrixArbiters.
+    for (int n : {5, 70}) {
+        MatrixArbiterSlab slab(3, n);
+        std::vector<MatrixArbiter> alone(3, MatrixArbiter(n));
+        const int words = wordsFor(n);
+        ASSERT_EQ(slab.words(), words);
+        Rng rng(300 + std::uint64_t(n));
+        for (int round = 0; round < 1000; round++) {
+            const int a = int(rng.range(3));
+            std::vector<std::uint64_t> req(std::size_t(words), 0);
+            for (int i = 0; i < n; i++) {
+                if (rng.bernoulli(0.3))
+                    setBit(req.data(), i);
+            }
+            int w = words == 1 ? slab.arbitrateWord(a, req[0])
+                               : slab.arbitrate(a, req.data());
+            ASSERT_EQ(w, alone[a].arbitrateMask(req.data())) << round;
+            if (w == NoGrant)
+                continue;
+            if (words == 1)
+                slab.updateWord(a, w);
+            else
+                slab.update(a, w);
+            alone[a].update(w);
+        }
+        std::vector<std::uint8_t> s_slab, s_alone;
+        slab.dumpState(s_slab);
+        for (const auto &arb : alone)
+            arb.dumpState(s_alone);
+        EXPECT_EQ(s_slab, s_alone) << "n " << n;
+    }
+}

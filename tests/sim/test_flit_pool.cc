@@ -208,8 +208,10 @@ TEST(FlitFifoTest, FifoOrderAndWraparound)
     FlitRef next = 0;
     FlitRef expect = 0;
     for (int round = 0; round < 5; round++) {
-        f.push(next++);
-        f.push(next++);
+        f.push(next, Cycle(next));
+        next++;
+        f.push(next, Cycle(next));
+        next++;
         EXPECT_EQ(f.size(), 2);
         EXPECT_EQ(f.front(), expect);
         EXPECT_EQ(f.pop(), expect++);
@@ -223,7 +225,7 @@ TEST(FlitFifoTest, FillsToCapacity)
     FlitFifo f;
     f.init(4);
     for (FlitRef i = 0; i < 4; i++)
-        f.push(i);
+        f.push(i, 0);
     EXPECT_EQ(f.size(), 4);
     for (FlitRef i = 0; i < 4; i++)
         EXPECT_EQ(f.pop(), i);
@@ -233,9 +235,53 @@ TEST(FlitFifoDeathTest, OverflowPanics)
 {
     FlitFifo f;
     f.init(2);
-    f.push(0);
-    f.push(1);
-    EXPECT_DEATH(f.push(2), "");
+    f.push(0, 0);
+    f.push(1, 0);
+    EXPECT_DEATH(f.push(2, 0), "");
+}
+
+TEST(FlitFifoTest, EligibleCyclesFollowTheirFlitsAcrossWraps)
+{
+    // Capacity 3 with a varying fill level: the head walks every slot
+    // several times, and each front's eligible cycle must be the one
+    // pushed with that handle.
+    FlitFifo f;
+    f.init(3);
+    FlitRef next = 0;
+    FlitRef expect = 0;
+    auto eligible_of = [](FlitRef r) { return Cycle(100 + 7 * r); };
+    for (int round = 0; round < 12; round++) {
+        const int fill = 1 + round % 3;
+        for (int i = 0; i < fill; i++) {
+            f.push(next, eligible_of(next));
+            next++;
+        }
+        while (!f.empty()) {
+            EXPECT_EQ(f.front(), expect);
+            EXPECT_EQ(f.frontEligible(), eligible_of(expect));
+            EXPECT_EQ(f.pop(), expect);
+            expect++;
+        }
+    }
+    EXPECT_EQ(expect, next);
+
+    // Partially drained ring: forEach still visits front to back.
+    f.push(50, 1);
+    f.push(51, 2);
+    (void)f.pop();
+    f.push(52, 3);
+    f.push(53, 4);
+    std::vector<FlitRef> seen;
+    f.forEach([&seen](FlitRef r) { seen.push_back(r); });
+    EXPECT_EQ(seen, (std::vector<FlitRef>{51, 52, 53}));
+    EXPECT_EQ(f.frontEligible(), Cycle(2));
+}
+
+TEST(FlitFifoDeathTest, FrontEligibleOfEmptyPanics)
+{
+    FlitFifo f;
+    f.init(2);
+    EXPECT_DEATH((void)f.frontEligible(), "");
 }
 
 TEST(FlitFifoDeathTest, PopEmptyPanics)
