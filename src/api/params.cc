@@ -385,8 +385,9 @@ defs()
              c.parWorkers = int(parseInt("par.workers", v, 0, 512));
          }},
         {"par.scheme",
-         "network partitioning scheme: planes (plane-aligned blocks) "
-         "or weighted (component-weight-balanced blocks)",
+         "network partitioning scheme: weighted (router blocks re-cut "
+         "every 1024 cycles by measured cost) or planes (fixed "
+         "plane-aligned blocks)",
          [](const SimConfig &c) { return c.parScheme; },
          [](SimConfig &c, const std::string &v) {
              (void)par::schemeFromString(v);   // Throws on bad names.

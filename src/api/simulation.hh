@@ -53,12 +53,15 @@ struct SimConfig
      * node set is partitioned across this many workers with a
      * per-cycle barrier (src/par/).  Results are bit-identical for
      * any value.  1 = classic serial stepping; 0 = PDR_PAR_WORKERS or
-     * 1.  Requests are clamped to the topology's plane count and, when
-     * running inside a sweep pool, to the per-worker hardware share.
+     * 1.  Requests are clamped to the router count (the plane count
+     * under planes) and, when running inside a sweep pool, to the
+     * per-worker hardware share.
      */
     int parWorkers = 1;
-    /** Partitioning scheme (par.scheme): "planes" or "weighted". */
-    std::string parScheme = "planes";
+    /** Partitioning scheme (par.scheme): "weighted" (router blocks
+     *  re-cut by measured cost) or "planes" (fixed plane-aligned
+     *  blocks). */
+    std::string parScheme = "weighted";
 
     /**
      * Observability (telem.* keys): windowed counter streaming and

@@ -119,6 +119,7 @@ Network::Network(const NetworkConfig &cfg)
     int dims = mesh_.dims();
     // Everyone runs at cycle 0.
     wakeAt_.assign(std::size_t(2 * nodes + routers), 0);
+    routerTicks_.assign(std::size_t(routers), 0);
 
     // Count the directed inter-router links so every slab can be
     // reserved exactly; growing a slab later would invalidate the
@@ -205,8 +206,8 @@ Network::Network(const NetworkConfig &cfg)
 
         auto *ej = newFlitChan(1, rtrComp(r), snkComp(node));
         routers_[r].connectOutput(lport, ej, nullptr, true);
-        sinks_.emplace_back(node, cfg_.packetLength, ctrl_, pool_, ej,
-                            sinkLatency_[node]);
+        sinks_.emplace_back(node, cfg_.packetLength, cfg_.router.numVcs,
+                            ctrl_, pool_, ej, sinkLatency_[node]);
     }
 
     pdr_assert(int(flitChans_.size()) == edges + 2 * nodes);
@@ -282,8 +283,7 @@ Network::tickRouters(sim::NodeId lo, sim::NodeId hi)
         } else {
             continue;
         }
-        if (tickWeights_)
-            (*tickWeights_)[std::size_t(i)]++;
+        routerTicks_[std::size_t(i)]++;
     }
 }
 

@@ -44,6 +44,16 @@
 
 namespace pdr::net {
 
+/** A default RouterConfig whose port count derives from the
+ *  topology (numPorts == 0). */
+inline router::RouterConfig
+topologyPorts()
+{
+    router::RouterConfig r;
+    r.numPorts = 0;
+    return r;
+}
+
 /**
  * Full-network configuration.  The scenario axes (topology, routing
  * function, traffic pattern) are string keys into the corresponding
@@ -59,10 +69,11 @@ struct NetworkConfig
     /** RoutingRegistry name; "auto" picks the topology's default
      *  ("xy" on the mesh, "dateline" on the torus, "dor" beyond). */
     std::string routing = "auto";
-    /** Per-router configuration.  numPorts == 0 means "derive from
-     *  the topology" (2 per dimension + concentration); a nonzero
-     *  value must match the topology exactly. */
-    router::RouterConfig router;
+    /** Per-router configuration.  numPorts == 0 (the default here,
+     *  unlike a bare RouterConfig's 5) means "derive from the
+     *  topology" (2 per dimension + concentration); a nonzero value
+     *  must match the topology exactly. */
+    router::RouterConfig router = topologyPorts();
     sim::Cycle linkLatency = 1;         //!< Flit propagation (cycles).
     sim::Cycle creditLatency = 1;       //!< Credit propagation (cycles).
     double injectionRate = 0.1;         //!< Offered flits/node/cycle.
@@ -282,17 +293,16 @@ class Network
     std::uint64_t deliveryTraceGen() const { return traceGen_; }
 
     /**
-     * Count router ticks into `weights` (one slot per router, index
-     * order, incremented on every actual tick); nullptr disables.
-     * Observational (the engine profiler's tick-weight signal): the
-     * tick schedule is a pure function of the wake table, so the
-     * counts are deterministic and byte-identical across worker
-     * counts, and workers own disjoint router ranges so the
-     * increments never share a slot.
+     * Cycles each router actually ticked since construction (index
+     * order).  The tick schedule is a pure function of the wake table,
+     * so the counts are deterministic and byte-identical across worker
+     * counts; workers own disjoint router ranges, so the increments
+     * never share a slot.  The weighted re-cut and the engine profiler
+     * read them at safe points.
      */
-    void profileTickWeights(std::vector<std::uint64_t> *weights)
+    const std::vector<std::uint64_t> &routerTicks() const
     {
-        tickWeights_ = weights;
+        return routerTicks_;
     }
 
     sim::Cycle now() const { return now_; }
@@ -424,9 +434,8 @@ class Network
     std::vector<traffic::Delivery> *trace_ = nullptr;
     std::uint64_t traceGen_ = 0;
 
-    /** Per-router tick-weight sink (engine profiler); see
-     *  profileTickWeights(). */
-    std::vector<std::uint64_t> *tickWeights_ = nullptr;
+    /** Per-router tick counts; see routerTicks(). */
+    std::vector<std::uint64_t> routerTicks_;
 
     // ----- invariant auditing (allocated only when enabled) ----------
 

@@ -58,29 +58,9 @@ ParallelStepper::ParallelStepper(net::Network &net, const ParConfig &cfg)
     if (W_ == 1)
         return;     // Degenerate: plain Network::step(), no gang.
 
-    // Classify channels: producer and consumer in different blocks ->
-    // staged mode, drained by the consumer's worker after the phase
-    // barrier.
     flitDrain_.resize(std::size_t(W_));
     creditDrain_.resize(std::size_t(W_));
-    for (std::size_t i = 0; i < net_.numFlitChans(); i++) {
-        int p = part_.ownerOfComp(net_.flitChanProducer(i));
-        int c = part_.ownerOfComp(net_.flitChanConsumer(i));
-        if (p != c) {
-            net_.flitChan(i).setStaged(true);
-            flitDrain_[std::size_t(c)].push_back(&net_.flitChan(i));
-            crossChans_++;
-        }
-    }
-    for (std::size_t i = 0; i < net_.numCreditChans(); i++) {
-        int p = part_.ownerOfComp(net_.creditChanProducer(i));
-        int c = part_.ownerOfComp(net_.creditChanConsumer(i));
-        if (p != c) {
-            net_.creditChan(i).setStaged(true);
-            creditDrain_[std::size_t(c)].push_back(&net_.creditChan(i));
-            crossChans_++;
-        }
-    }
+    classifyChannels();
 
     // Sharded flit freelists: every worker allocs (sources) from and
     // frees (sinks) into its own LIFO.  The reserve guarantees slab
@@ -95,6 +75,17 @@ ParallelStepper::ParallelStepper(net::Network &net, const ParConfig &cfg)
 
     workerTrace_.resize(std::size_t(W_));
     syncTrace();
+
+    if (cfg.scheme == Scheme::Weighted) {
+        recutting_ = true;
+        // The first window starts now.
+        lastTicks_.assign(std::size_t(lat.numRouters()), 0);
+        lastFlits_.assign(std::size_t(lat.numRouters()), 0);
+        lastSinkFlits_.assign(std::size_t(lat.numNodes()), 0);
+        priceWindow();
+        nextRecut_ = net_.now() - net_.now() % kRecutPeriod +
+                     kRecutPeriod;
+    }
 
     threads_.reserve(std::size_t(W_ - 1));
     for (int w = 1; w < W_; w++)
@@ -129,6 +120,86 @@ ParallelStepper::~ParallelStepper()
         net_.sinkRefAt(n).setPoolShard(0);
     }
     net_.recordDeliveries(net_.deliveryTrace());
+}
+
+void
+ParallelStepper::classifyChannels()
+{
+    // Producer and consumer in different blocks -> staged mode,
+    // drained by the consumer's worker after the phase barrier.
+    for (auto &list : flitDrain_)
+        list.clear();
+    for (auto &list : creditDrain_)
+        list.clear();
+    crossChans_ = 0;
+    for (std::size_t i = 0; i < net_.numFlitChans(); i++) {
+        int p = part_.ownerOfComp(net_.flitChanProducer(i));
+        int c = part_.ownerOfComp(net_.flitChanConsumer(i));
+        net_.flitChan(i).setStaged(p != c);
+        if (p != c) {
+            flitDrain_[std::size_t(c)].push_back(&net_.flitChan(i));
+            crossChans_++;
+        }
+    }
+    for (std::size_t i = 0; i < net_.numCreditChans(); i++) {
+        int p = part_.ownerOfComp(net_.creditChanProducer(i));
+        int c = part_.ownerOfComp(net_.creditChanConsumer(i));
+        net_.creditChan(i).setStaged(p != c);
+        if (p != c) {
+            creditDrain_[std::size_t(c)].push_back(&net_.creditChan(i));
+            crossChans_++;
+        }
+    }
+}
+
+void
+ParallelStepper::priceWindow()
+{
+    // Router ticks plus flits forwarded per router, flits ejected per
+    // node.  Every counter is simulated state, so the cut sequence is
+    // identical in every run.
+    const auto &ticks = net_.routerTicks();
+    cost_.resize(ticks.size());
+    for (std::size_t r = 0; r < ticks.size(); r++) {
+        const std::uint64_t flits =
+            net_.routerAt(sim::NodeId(r)).stats().flitsOut;
+        cost_[r] = routerCost(ticks[r] - lastTicks_[r],
+                              flits - lastFlits_[r]);
+        lastTicks_[r] = ticks[r];
+        lastFlits_[r] = flits;
+    }
+    sinkFlits_.resize(lastSinkFlits_.size());
+    for (std::size_t n = 0; n < sinkFlits_.size(); n++) {
+        const std::uint64_t flits =
+            net_.sinkAt(sim::NodeId(n)).totalFlits();
+        sinkFlits_[n] = flits - lastSinkFlits_[n];
+        lastSinkFlits_[n] = flits;
+    }
+}
+
+void
+ParallelStepper::recut()
+{
+    const sim::Cycle now = net_.now();
+    nextRecut_ = now - now % kRecutPeriod + kRecutPeriod;
+
+    priceWindow();
+    // Node blocks never move, so the terminal costs hold for both
+    // the current cut and the candidate.
+    const auto term = part_.termCost(sinkFlits_);
+    const std::uint64_t before = part_.maxBlockCost(cost_, term);
+    Partitioner cut(part_, cost_, term);
+    const std::uint64_t after = cut.maxBlockCost(cost_, term);
+    if (before == 0 || after * 100 > before * (100 - kRecutMarginPct))
+        return;
+
+    part_ = std::move(cut);
+    classifyChannels();
+    Recut rc;
+    rc.cycle = now;
+    for (const Block &b : part_.blocks())
+        rc.routerHi.push_back(b.routerHi);
+    recuts_.push_back(std::move(rc));
 }
 
 void
@@ -222,6 +293,8 @@ ParallelStepper::step()
         return;
     }
     syncTrace();
+    if (recutting_ && net_.now() >= nextRecut_)
+        recut();
     if (prof_)
         prof_->mark(0, prof::Profiler::Phase::Tick);
 

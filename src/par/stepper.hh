@@ -19,6 +19,19 @@
  *      wake-table updates; worker 0 also concatenates the per-worker
  *      delivery-trace shards in worker (== node) order.
  *
+ * Under the weighted scheme worker 0 re-cuts the router blocks every
+ * kRecutPeriod cycles, at the cycle-start safe point (the gang parked
+ * at the barrier, every staging buffer drained): it prices each
+ * router's last window by routerCost() and each worker's kept node
+ * block by its ejected flits, lets the Partitioner place new router
+ * boundaries, and applies them only if the heaviest worker's cost
+ * falls by kRecutMarginPct percent.  Applying a cut reclassifies every
+ * channel (staged iff its producer and consumer now have different
+ * owners) and rebuilds the drain lists.  Node blocks never move, so
+ * pool shards and delivery-trace shards keep their owners.  The
+ * window costs come only from simulated counters, so every run takes
+ * the same cuts, with profiling or telemetry on or off.
+ *
  * Determinism: components only communicate through >= 1-cycle
  * channels, so intra-cycle order is immaterial; the deferred wake
  * update is min(), which reproduces the serial wake table exactly; the
@@ -64,7 +77,7 @@ namespace pdr::par {
 struct ParConfig
 {
     int workers = 1;                    //!< 1 = serial stepping.
-    Scheme scheme = Scheme::Planes;
+    Scheme scheme = Scheme::Weighted;
 };
 
 /**
@@ -92,6 +105,30 @@ class SpinBarrier
 class ParallelStepper
 {
   public:
+    /**
+     * Cycles between re-cuts (re-cuts run at multiples of it).  On a
+     * 16x16 hotspot mesh the best cut of consecutive 1024-cycle
+     * windows moves by a router or two, so a window's costs predict
+     * the next one's; pricing a window is one pass over the routers
+     * and sinks, against tens of milliseconds of stepping.
+     */
+    static constexpr sim::Cycle kRecutPeriod = 1024;
+    /**
+     * A re-cut is applied only if it lowers the heaviest worker's
+     * window cost by this many percent.  On a 16x16 hotspot mesh at
+     * 4 workers over 20k cycles, 5% applied 6 of 19 chances; 2%
+     * applied 18 of 19, most of them moving a boundary by one or two
+     * routers and back.
+     */
+    static constexpr std::uint64_t kRecutMarginPct = 5;
+
+    /** One applied re-cut. */
+    struct Recut
+    {
+        sim::Cycle cycle = 0;               //!< First cycle it ran.
+        std::vector<sim::NodeId> routerHi;  //!< Per block.
+    };
+
     /**
      * Attach to `net`.  The effective worker count is the partition's
      * (clamped by topology); with one worker the stepper degenerates
@@ -159,6 +196,21 @@ class ParallelStepper
     /** Channels currently in staged (cross-boundary) mode. */
     std::size_t crossChannels() const { return crossChans_; }
 
+    /** Every re-cut applied so far, in order. */
+    const std::vector<Recut> &recuts() const { return recuts_; }
+
+    /** Staged flit / credit channels worker `w` drains. */
+    const std::vector<net::Network::FlitChannel *> &
+    flitDrain(int w) const
+    {
+        return flitDrain_[std::size_t(w)];
+    }
+    const std::vector<net::Network::CreditChannel *> &
+    creditDrain(int w) const
+    {
+        return creditDrain_[std::size_t(w)];
+    }
+
   private:
     using TagMode = traffic::MeasureController::TagMode;
 
@@ -166,6 +218,15 @@ class ParallelStepper
     void runSlice(int w);
     void drainSlice(int w);
     void syncTrace();
+    /** Stage exactly the channels whose ends have different owners
+     *  and rebuild the drain lists (gang parked, buffers drained). */
+    void classifyChannels();
+    /** Cost of the window since the previous call into cost_ and
+     *  sinkFlits_. */
+    void priceWindow();
+    /** Price the window since the last re-cut and apply a better cut
+     *  (worker 0, cycle-start safe point). */
+    void recut();
 
     net::Network &net_;
     Partitioner part_;
@@ -176,6 +237,15 @@ class ParallelStepper
     std::vector<std::vector<net::Network::FlitChannel *>> flitDrain_;
     std::vector<std::vector<net::Network::CreditChannel *>>
         creditDrain_;
+
+    /** Re-cut state (weighted scheme with a gang only): the next
+     *  re-cut cycle, the counters at the last one, and reused
+     *  window buffers. */
+    bool recutting_ = false;
+    sim::Cycle nextRecut_ = kRecutPeriod;
+    std::vector<std::uint64_t> lastTicks_, lastFlits_, lastSinkFlits_;
+    std::vector<std::uint64_t> cost_, sinkFlits_;
+    std::vector<Recut> recuts_;
 
     /** Per-worker delivery buffers, merged in worker order each
      *  cycle when the user attached a trace. */

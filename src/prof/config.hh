@@ -12,10 +12,11 @@
  *  - per-worker *phase wall time* (tick / drain / barrier-wait),
  *    host-clock readings that are inherently nondeterministic and
  *    therefore confined to reporting (lint rule PDR-OBS-WALLCLOCK);
- *  - per-router *tick weight* (cycles-ticked counts), which depends
- *    only on the wake-table schedule and is therefore deterministic
- *    and byte-identical across worker counts -- the online load
- *    signal an adaptive repartitioner consumes (ROADMAP item 3).
+ *  - per-router *tick weight* (cycles-ticked counts) and flits
+ *    forwarded, plus per-node flits ejected, which depend only on the
+ *    simulated schedule and are therefore deterministic and
+ *    byte-identical across worker counts -- the same counters the
+ *    weighted re-cut balances (par::routerCost).
  */
 
 #ifndef PDR_PROF_CONFIG_HH
@@ -80,6 +81,11 @@ struct Epoch
     /** Per-router cycles ticked in the window (index order).
      *  Deterministic: identical across runs and worker counts. */
     std::vector<std::uint64_t> weights;
+    /** Per-router flits forwarded in the window (deterministic). */
+    std::vector<std::uint64_t> flits;
+    /** Per-node flits ejected at the sink in the window
+     *  (deterministic). */
+    std::vector<std::uint64_t> sinkFlits;
 };
 
 /** A whole run's profile (SimResults::prof; `pdr profile` input). */
@@ -90,6 +96,12 @@ struct Capture
     std::vector<Epoch> epochs;
     /** End-of-run per-router tick totals (== sum of epoch weights). */
     std::vector<std::uint64_t> weights;
+    /** End-of-run per-router flits forwarded (== sum of epoch flits);
+     *  empty when read from a stream that predates them. */
+    std::vector<std::uint64_t> flits;
+    /** End-of-run per-node flits ejected (== sum of epoch
+     *  sinkFlits); empty like flits. */
+    std::vector<std::uint64_t> sinkFlits;
 };
 
 } // namespace pdr::prof

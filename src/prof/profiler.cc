@@ -43,6 +43,43 @@ hostNs()
             .count());
 }
 
+/** Flits each router has forwarded (RouterStats::flitsOut). */
+std::vector<std::uint64_t>
+routerFlits(const net::Network &net)
+{
+    std::vector<std::uint64_t> out(
+        std::size_t(net.lattice().numRouters()));
+    for (std::size_t r = 0; r < out.size(); r++)
+        out[r] = net.routerAt(sim::NodeId(r)).stats().flitsOut;
+    return out;
+}
+
+/** Flits each node's sink has ejected. */
+std::vector<std::uint64_t>
+sinkFlits(const net::Network &net)
+{
+    std::vector<std::uint64_t> out(
+        std::size_t(net.lattice().numNodes()));
+    for (std::size_t n = 0; n < out.size(); n++)
+        out[n] = net.sinkAt(sim::NodeId(n)).totalFlits();
+    return out;
+}
+
+/** `now - last` per slot into `delta` and `total`; `last` = now. */
+void
+difference(const std::vector<std::uint64_t> &now,
+           std::vector<std::uint64_t> &last,
+           std::vector<std::uint64_t> &delta,
+           std::vector<std::uint64_t> &total)
+{
+    delta.resize(now.size());
+    for (std::size_t i = 0; i < now.size(); i++) {
+        delta[i] = now[i] - last[i];
+        total[i] += delta[i];
+    }
+    last = now;
+}
+
 } // namespace
 
 Profiler::Profiler(net::Network &net, int workers)
@@ -58,17 +95,14 @@ Profiler::Profiler(net::Network &net, int workers)
             w == 0 ? Phase::Idle : Phase::Barrier;
         shards_[std::size_t(w)].openSince = now;
     }
-    const auto routers = std::size_t(net_.lattice().numRouters());
-    weights_.assign(routers, 0);
-    lastWeights_.assign(routers, 0);
+    lastTicks_ = net_.routerTicks();
+    lastFlits_ = routerFlits(net_);
+    lastSinkFlits_ = sinkFlits(net_);
     lastEffNs_.assign(std::size_t(W_) * kPhases, 0);
     cap_.workers = W_;
-    net_.profileTickWeights(&weights_);
-}
-
-Profiler::~Profiler()
-{
-    net_.profileTickWeights(nullptr);
+    cap_.weights.assign(lastTicks_.size(), 0);
+    cap_.flits.assign(lastFlits_.size(), 0);
+    cap_.sinkFlits.assign(lastSinkFlits_.size(), 0);
 }
 
 std::uint64_t
@@ -119,14 +153,13 @@ Profiler::sampleEpoch(sim::Cycle at)
         e.drainUs[std::size_t(w)] = us[int(Phase::Drain)];
         e.barrierUs[std::size_t(w)] = us[int(Phase::Barrier)];
     }
-    e.weights.resize(weights_.size());
-    for (std::size_t r = 0; r < weights_.size(); r++) {
-        e.weights[r] = weights_[r] - lastWeights_[r];
-        lastWeights_[r] = weights_[r];
-    }
+    difference(net_.routerTicks(), lastTicks_, e.weights,
+               cap_.weights);
+    difference(routerFlits(net_), lastFlits_, e.flits, cap_.flits);
+    difference(sinkFlits(net_), lastSinkFlits_, e.sinkFlits,
+               cap_.sinkFlits);
     lastCycle_ = at;
     cap_.cycles = at;
-    cap_.weights = weights_;
     cap_.epochs.push_back(std::move(e));
     return cap_.epochs.back();
 }
@@ -137,7 +170,6 @@ Profiler::finish(sim::Cycle end)
     if (finished_)
         return nullptr;
     finished_ = true;
-    cap_.weights = weights_;
     cap_.cycles = end;
     if (end <= lastCycle_)
         return nullptr;

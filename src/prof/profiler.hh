@@ -1,7 +1,7 @@
 /**
  * @file
  * The engine profiler: per-worker phase clocks and per-router
- * tick-weight shards.
+ * tick weights.
  *
  * A Profiler attaches to one Network + ParallelStepper pair and
  * records two signals, sharded so the hot path never shares a cache
@@ -11,10 +11,10 @@
  *    its own cache-line-aligned shard (two wall-clock reads per cycle
  *    on the serial path, four per worker on the parallel path -- only
  *    when a profiler is attached; bench_core records the A/B).
- *  - per-router tick counts: the Network increments a plain counter
- *    whenever a router actually ticks.  Workers own disjoint router
- *    ranges, so the increments are unshared; the tick schedule is a
- *    pure function of the wake table, so the counts are deterministic
+ *  - per-router tick counts (Network::routerTicks), flits forwarded
+ *    and per-node flits ejected: counters the simulation keeps
+ *    anyway, read at each epoch and differenced.  They are pure
+ *    functions of the simulated schedule, so they are deterministic
  *    and byte-identical across worker counts.
  *
  * sampleEpoch() closes a window on worker 0 at a safe point (the gang
@@ -56,15 +56,12 @@ class Profiler
                              Barrier = 3 };
 
     /**
-     * Attach to `net` with a gang of `workers`.  Registers the
-     * tick-weight hook on the network; construct after the stepper
-     * and destroy before it (the stepper holds a raw pointer via
+     * Attach to `net` with a gang of `workers`; counts start at the
+     * network's current counters.  Construct after the stepper and
+     * destroy before it (the stepper holds a raw pointer via
      * attachProfiler()).
      */
     Profiler(net::Network &net, int workers);
-
-    /** Detaches the network hook. */
-    ~Profiler();
 
     Profiler(const Profiler &) = delete;
     Profiler &operator=(const Profiler &) = delete;
@@ -114,12 +111,9 @@ class Profiler
     net::Network &net_;
     int W_;
     std::vector<Shard> shards_;
-    /** Per-router cycles-ticked totals, incremented by the network's
-     *  tick loop while the hook is attached. */
-    std::vector<std::uint64_t> weights_;
-
-    /** Snapshot state of the previous epoch (worker 0 only). */
-    std::vector<std::uint64_t> lastWeights_;
+    /** Network counters at the previous epoch (worker 0 only):
+     *  router ticks, router flits out, sink flits. */
+    std::vector<std::uint64_t> lastTicks_, lastFlits_, lastSinkFlits_;
     std::vector<std::uint64_t> lastEffNs_;  //!< W_ * kPhases, flat.
     sim::Cycle lastCycle_ = 0;
 

@@ -15,8 +15,7 @@ namespace {
 /** Per-block weight shares of a plane-aligned split. */
 std::vector<std::uint64_t>
 planeBlockWeights(const std::vector<std::uint64_t> &weights,
-                  const topo::Lattice &lat, int workers,
-                  std::vector<par::Block> *blocksOut = nullptr)
+                  const topo::Lattice &lat, int workers)
 {
     par::Partitioner part(lat, workers, par::Scheme::Planes);
     std::vector<std::uint64_t> blockW(
@@ -26,46 +25,20 @@ planeBlockWeights(const std::vector<std::uint64_t> &weights,
         for (sim::NodeId r = blk.routerLo; r < blk.routerHi; r++)
             blockW[std::size_t(b)] += weights[std::size_t(r)];
     }
-    if (blocksOut)
-        *blocksOut = part.blocks();
     return blockW;
 }
 
-/**
- * The boundary the weighted scheme would pick: greedy cuts at the
- * cumulative-weight quantiles.  Returns the last router id of each of
- * the first W-1 blocks, plus the resulting max block share.
- */
-std::vector<sim::NodeId>
-weightedCuts(const std::vector<std::uint64_t> &weights, int workers,
-             double *maxShare)
+/** Per-router re-cut cost (par::routerCost) of a capture; flits
+ *  count zero when the capture has none. */
+std::vector<std::uint64_t>
+routerCosts(const Capture &cap)
 {
-    std::uint64_t total = 0;
-    for (auto w : weights)
-        total += w;
-    std::vector<sim::NodeId> cuts;
-    *maxShare = 0.0;
-    if (!total || workers < 2)
-        return cuts;
-    std::uint64_t cum = 0, blockStartCum = 0;
-    int nextCut = 1;
-    for (std::size_t r = 0;
-         r < weights.size() && nextCut < workers; r++) {
-        cum += weights[r];
-        if (double(cum) >=
-            double(total) * double(nextCut) / double(workers)) {
-            cuts.push_back(sim::NodeId(r));
-            *maxShare = std::max(
-                *maxShare, double(cum - blockStartCum) /
-                               double(total));
-            blockStartCum = cum;
-            nextCut++;
-        }
+    std::vector<std::uint64_t> cost(cap.weights.size());
+    for (std::size_t r = 0; r < cost.size(); r++) {
+        cost[r] = par::routerCost(
+            cap.weights[r], r < cap.flits.size() ? cap.flits[r] : 0);
     }
-    *maxShare =
-        std::max(*maxShare,
-                 double(total - blockStartCum) / double(total));
-    return cuts;
+    return cost;
 }
 
 std::string
@@ -111,6 +84,17 @@ extractArray(const std::string &line, const char *key,
             p++;
     }
     return true;
+}
+
+/** Add `delta` into `total` slot by slot, growing it as needed. */
+void
+accumulate(std::vector<std::uint64_t> &total,
+           const std::vector<std::uint64_t> &delta)
+{
+    if (total.size() < delta.size())
+        total.resize(delta.size(), 0);
+    for (std::size_t i = 0; i < delta.size(); i++)
+        total[i] += delta[i];
 }
 
 } // namespace
@@ -219,42 +203,75 @@ buildReport(const Capture &cap, const topo::Lattice &lat,
     }
 
     // ----- partition quality (deterministic verdict) -----------------
-    std::vector<par::Block> blocks;
-    const auto blockW = planeBlockWeights(cap.weights, lat,
-                                          cfg.reportWorkers, &blocks);
+    // Tick weight (the historical, parseable weight_imbalance line)
+    // and the cost the weighted re-cut balances: router ticks plus
+    // flits forwarded, plus the flits each block's sinks eject.
+    const auto blockW =
+        planeBlockWeights(cap.weights, lat, cfg.reportWorkers);
+    const auto cost = routerCosts(cap);
+    const par::Partitioner planes(lat, cfg.reportWorkers,
+                                  par::Scheme::Planes);
+    const auto &blocks = planes.blocks();
+    const auto planesTerm = planes.termCost(cap.sinkFlits);
+    std::uint64_t totalCost = 0;
+    for (auto c : cost)
+        totalCost += c;
+    for (auto c : planesTerm)
+        totalCost += c;
     out += csprintf(
         "\npartition quality (planes split, %zu analysis workers):\n",
         blockW.size());
     std::size_t heaviest = 0;
     for (std::size_t b = 0; b < blockW.size(); b++) {
+        std::uint64_t blockCost = planesTerm[b];
+        for (sim::NodeId r = blocks[b].routerLo; r < blocks[b].routerHi;
+             r++) {
+            blockCost += cost[std::size_t(r)];
+        }
         out += csprintf(
-            "  worker %zu  routers [%4d,%4d)  weight %5.1f%%\n", b,
-            int(blocks[b].routerLo), int(blocks[b].routerHi),
-            total ? 100.0 * double(blockW[b]) / double(total) : 0.0);
+            "  worker %zu  routers [%4d,%4d)  weight %5.1f%%  cost "
+            "%5.1f%%\n",
+            b, int(blocks[b].routerLo), int(blocks[b].routerHi),
+            total ? 100.0 * double(blockW[b]) / double(total) : 0.0,
+            totalCost ? 100.0 * double(blockCost) / double(totalCost)
+                      : 0.0);
         if (blockW[b] > blockW[heaviest])
             heaviest = b;
     }
     out += csprintf("weight_imbalance %.4f\n",
                     weightImbalance(cap.weights, lat,
                                     cfg.reportWorkers));
+    out += csprintf(
+        "cost_imbalance %.4f\n",
+        totalCost ? double(planes.maxBlockCost(cost, planesTerm)) *
+                        double(planes.workers()) / double(totalCost)
+                  : 0.0);
 
-    double maxShare = 0.0;
-    const auto cuts = weightedCuts(cap.weights,
-                                   int(blockW.size()), &maxShare);
-    std::string cutStr;
-    for (std::size_t i = 0; i < cuts.size(); i++)
-        cutStr += csprintf("%s%d", i ? ", " : "", int(cuts[i]));
     out += csprintf(
         "verdict: planes split puts %.1f%% of tick weight on worker "
         "%zu",
         total ? 100.0 * double(blockW[heaviest]) / double(total)
               : 0.0,
         heaviest);
-    if (!cuts.empty()) {
-        out += csprintf("; a weighted split would cut after "
-                        "router%s %s (max share %.1f%%)",
-                        cuts.size() > 1 ? "s" : "", cutStr.c_str(),
-                        100.0 * maxShare);
+    // The cut the stepper's re-cut would choose over the whole run:
+    // from its starting split, terminals kept in place.
+    const par::Partitioner start(lat, cfg.reportWorkers,
+                                 par::Scheme::Weighted);
+    if (totalCost && start.workers() > 1) {
+        const auto startTerm = start.termCost(cap.sinkFlits);
+        const par::Partitioner cut(start, cost, startTerm);
+        std::string cutStr;
+        for (int b = 0; b + 1 < cut.workers(); b++) {
+            cutStr += csprintf(
+                "%s%d", b ? ", " : "",
+                int(cut.blocks()[std::size_t(b)].routerHi) - 1);
+        }
+        out += csprintf(
+            "; a weighted split would cut after router%s %s (max cost "
+            "share %.1f%%)",
+            cut.workers() > 2 ? "s" : "", cutStr.c_str(),
+            100.0 * double(cut.maxBlockCost(cost, startTerm)) /
+                double(totalCost));
     }
     out += ".\n";
     return out;
@@ -284,21 +301,25 @@ parseStream(std::istream &in)
             cap.epochs.push_back(std::move(e));
         } else if (line.find("\"type\": \"weight_heatmap\"") !=
                    std::string::npos) {
-            std::vector<std::uint64_t> weights;
+            std::vector<std::uint64_t> weights, flits, sinkFlits;
             extractArray(line, "weights", weights);
+            extractArray(line, "flits", flits);
+            extractArray(line, "sink_flits", sinkFlits);
             std::uint64_t cycle = 0;
             extractU64(line, "cycle", cycle);
             // Deltas attach to the worker_window of the same cycle
             // (emitted immediately before) and telescope into the
             // end-of-run totals.
             for (auto &e : cap.epochs) {
-                if (e.cycle == sim::Cycle(cycle) && e.weights.empty())
+                if (e.cycle == sim::Cycle(cycle) && e.weights.empty()) {
                     e.weights = weights;
+                    e.flits = flits;
+                    e.sinkFlits = sinkFlits;
+                }
             }
-            if (cap.weights.size() < weights.size())
-                cap.weights.resize(weights.size(), 0);
-            for (std::size_t r = 0; r < weights.size(); r++)
-                cap.weights[r] += weights[r];
+            accumulate(cap.weights, weights);
+            accumulate(cap.flits, flits);
+            accumulate(cap.sinkFlits, sinkFlits);
         }
     }
     if (cap.epochs.empty() && cap.weights.empty()) {

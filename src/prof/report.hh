@@ -6,12 +6,17 @@
  *
  * The report mixes two kinds of data with different guarantees:
  * per-worker utilization comes from host wall clocks and varies run
- * to run, while everything derived from tick weights (hottest
- * routers, partition shares, the imbalance ratio and the weighted-cut
- * verdict) is deterministic -- identical across runs and execution
- * worker counts, because the tick schedule is a pure function of the
- * wake table and the verdict partition size is prof.report_workers,
- * not par.workers.
+ * to run, while everything derived from simulated counters (hottest
+ * routers, partition shares, the weight_imbalance and cost_imbalance
+ * ratios and the weighted-cut verdict) is deterministic -- identical
+ * across runs and execution worker counts, because the counters are a
+ * pure function of the simulated schedule and the verdict partition
+ * size is prof.report_workers, not par.workers.
+ *
+ * weight_imbalance splits router ticks alone; cost_imbalance splits
+ * the cost the weighted re-cut balances (par::routerCost per router
+ * plus par::kSinkFlitCost per ejected flit), and the verdict names the
+ * cut that re-cut would choose over the whole run.
  */
 
 #ifndef PDR_PROF_REPORT_HH

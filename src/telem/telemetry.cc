@@ -228,16 +228,24 @@ Telemetry::emitProfEpoch(const prof::Epoch &e)
             loadMaxMean, barrierFrac);
         *streamOut_ << rec;
 
-        // weight_heatmap: per-router cycles ticked in the window --
+        // weight_heatmap: per-router cycles ticked and flits
+        // forwarded, per-node flits ejected, in the window --
         // deterministic, byte-identical across worker counts (the
-        // repartitioner-facing signal).
+        // counters the weighted re-cut balances).
         rec = csprintf("{\"type\": \"weight_heatmap\", \"cycle\": "
                        "%llu, \"window\": %llu, \"weights\": [",
                        (unsigned long long)e.cycle,
                        (unsigned long long)e.window);
-        for (std::size_t r = 0; r < e.weights.size(); r++)
-            rec += csprintf("%s%llu", r ? "," : "",
-                            (unsigned long long)e.weights[r]);
+        auto append = [&rec](const std::vector<std::uint64_t> &v) {
+            for (std::size_t i = 0; i < v.size(); i++)
+                rec += csprintf("%s%llu", i ? "," : "",
+                                (unsigned long long)v[i]);
+        };
+        append(e.weights);
+        rec += "], \"flits\": [";
+        append(e.flits);
+        rec += "], \"sink_flits\": [";
+        append(e.sinkFlits);
         rec += "]}\n";
         *streamOut_ << rec;
     }

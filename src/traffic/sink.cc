@@ -4,11 +4,12 @@
 
 namespace pdr::traffic {
 
-Sink::Sink(sim::NodeId node, int packet_length, MeasureController &ctrl,
-           sim::FlitPool &pool, FlitChannel *from_router,
-           stats::LatencyStats &latency)
+Sink::Sink(sim::NodeId node, int packet_length, int num_vcs,
+           MeasureController &ctrl, sim::FlitPool &pool,
+           FlitChannel *from_router, stats::LatencyStats &latency)
     : node_(node), packetLength_(packet_length), ctrl_(ctrl),
-      pool_(pool), in_(from_router), latency_(latency)
+      pool_(pool), in_(from_router), latency_(latency),
+      expect_(std::size_t(num_vcs))
 {
 }
 
@@ -23,17 +24,18 @@ Sink::tick(sim::Cycle now)
         if (now >= ctrl_.warmup())
             measuredFlits_++;
 
-        // Flits of a packet must arrive in order on one VC.
-        int expected = 0;
-        auto it = expectSeq_.find(f.packet);
-        if (it != expectSeq_.end())
-            expected = it->second;
-        pdr_assert(int(f.seq) == expected);
+        // Flits of a packet must arrive in order on one VC, and a VC
+        // carries one packet at a time.
+        pdr_assert(f.vc >= 0 && std::size_t(f.vc) < expect_.size());
+        VcSeq &vs = expect_[std::size_t(f.vc)];
+        if (vs.next == 0)
+            vs.packet = f.packet;       // A head opens the VC's packet.
+        pdr_assert(f.packet == vs.packet);
+        pdr_assert(int(f.seq) == vs.next);
 
         if (sim::isTail(f.type)) {
-            pdr_assert(expected == packetLength_ - 1);
-            if (it != expectSeq_.end())
-                expectSeq_.erase(it);
+            pdr_assert(vs.next == packetLength_ - 1);
+            vs.next = 0;
             packets_++;
             sim::Cycle lat = now - f.ctime;
             latency_.record(double(lat), f.measured);
@@ -42,7 +44,7 @@ Sink::tick(sim::Cycle now)
             if (trace_)
                 trace_->push_back({f.packet, node_, now, lat});
         } else {
-            expectSeq_[f.packet] = expected + 1;
+            vs.next++;
         }
     }
 }

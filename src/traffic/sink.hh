@@ -9,7 +9,6 @@
 #ifndef PDR_TRAFFIC_SINK_HH
 #define PDR_TRAFFIC_SINK_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "sim/channel.hh"
@@ -35,9 +34,9 @@ class Sink
   public:
     using FlitChannel = sim::Channel<sim::FlitRef>;
 
-    Sink(sim::NodeId node, int packet_length, MeasureController &ctrl,
-         sim::FlitPool &pool, FlitChannel *from_router,
-         stats::LatencyStats &latency);
+    Sink(sim::NodeId node, int packet_length, int num_vcs,
+         MeasureController &ctrl, sim::FlitPool &pool,
+         FlitChannel *from_router, stats::LatencyStats &latency);
 
     /** Drain arrived flits. */
     void tick(sim::Cycle now);
@@ -59,9 +58,13 @@ class Sink
         trace_ = trace;
     }
 
+    /** The trace set by recordDeliveries (nullptr when off). */
+    const std::vector<Delivery> *deliveryTrace() const { return trace_; }
+
     /** FlitPool freelist shard this sink frees into (set by the
      *  partitioned stepper to its owning worker; 0 = serial). */
     void setPoolShard(int shard) { poolShard_ = shard; }
+    int poolShard() const { return poolShard_; }
 
     /** Flits received after the warm-up point (for throughput). */
     std::uint64_t measuredFlits() const { return measuredFlits_; }
@@ -80,10 +83,16 @@ class Sink
     std::vector<Delivery> *trace_ = nullptr;
     int poolShard_ = 0;                 //!< FlitPool freelist shard.
 
-    /** Next expected sequence number per in-flight packet. */
-    // pdr-lint: allow(PDR-ORD-UNORD) keyed erase/lookup only, never
-    // iterated, so bucket order cannot reach any result.
-    std::unordered_map<sim::PacketId, int> expectSeq_;
+    /** The packet an ejection VC is carrying and the sequence number
+     *  its next flit must have (0 = between packets). */
+    struct VcSeq
+    {
+        sim::PacketId packet = 0;
+        int next = 0;
+    };
+    /** One slot per ejection VC: a VC carries one packet from head to
+     *  tail, so this checks in-order arrival without a lookup. */
+    std::vector<VcSeq> expect_;
 
     std::uint64_t measuredFlits_ = 0;
     std::uint64_t totalFlits_ = 0;

@@ -111,6 +111,7 @@ class Source
     /** FlitPool freelist shard this source allocates from (set by the
      *  partitioned stepper to its owning worker; 0 = serial). */
     void setPoolShard(int shard) { poolShard_ = shard; }
+    int poolShard() const { return poolShard_; }
 
     // ----- invariant-auditor accessors (sim::Auditor; read-only) -----
 

@@ -151,11 +151,14 @@ TEST(NetworkConfig, PortCountDerivesFromTopology)
     cfg.topology = "kary3cube";
     cfg.router.model = router::RouterModel::SpecVirtualChannel;
     cfg.router.numVcs = 2;
-    // The 2D default (5 ports) does not fit a 3-cube...
-    EXPECT_THROW(cfg.validate(), std::invalid_argument);
-    // ...0 = auto and the exact count both do.
-    cfg.router.numPorts = 0;
+    // The default derives the port count (0 = auto)...
+    EXPECT_EQ(cfg.router.numPorts, 0);
     EXPECT_NO_THROW(cfg.validate());
+    // ...a 2D mesh's 5 ports do not fit a 3-cube, the exact count does.
+    cfg.router.numPorts = 5;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument);
     cfg.router.numPorts = 7;
     EXPECT_NO_THROW(cfg.validate());
+    // A bare RouterConfig (single-router harnesses) keeps 5.
+    EXPECT_EQ(router::RouterConfig{}.numPorts, 5);
 }

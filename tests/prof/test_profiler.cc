@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -111,6 +112,8 @@ TEST(Prof, WeightsIdenticalAcrossWorkerCounts)
     for (int i = 1; i < 3; i++) {
         EXPECT_EQ(caps[0]->cycles, caps[i]->cycles);
         EXPECT_EQ(caps[0]->weights, caps[i]->weights);
+        EXPECT_EQ(caps[0]->flits, caps[i]->flits);
+        EXPECT_EQ(caps[0]->sinkFlits, caps[i]->sinkFlits);
         ASSERT_EQ(caps[0]->epochs.size(), caps[i]->epochs.size());
         for (std::size_t e = 0; e < caps[0]->epochs.size(); e++) {
             EXPECT_EQ(caps[0]->epochs[e].cycle,
@@ -136,6 +139,25 @@ TEST(Prof, EpochWeightsTelescopeToTotals)
             sum[r] += e.weights[r];
     }
     EXPECT_EQ(sum, cap->weights);
+    // Flit counts telescope the same way, and every ejected flit was
+    // forwarded by some router first.
+    std::vector<std::uint64_t> flits(cap->flits.size(), 0);
+    std::vector<std::uint64_t> sink(cap->sinkFlits.size(), 0);
+    for (const auto &e : cap->epochs) {
+        for (std::size_t r = 0; r < flits.size(); r++)
+            flits[r] += e.flits[r];
+        for (std::size_t n = 0; n < sink.size(); n++)
+            sink[n] += e.sinkFlits[n];
+    }
+    EXPECT_EQ(flits, cap->flits);
+    EXPECT_EQ(sink, cap->sinkFlits);
+    std::uint64_t forwarded = 0, ejected = 0;
+    for (auto f : cap->flits)
+        forwarded += f;
+    for (auto f : cap->sinkFlits)
+        ejected += f;
+    EXPECT_GT(ejected, 0u);
+    EXPECT_GE(forwarded, ejected);
     // Somebody actually ticked.
     std::uint64_t total = 0;
     for (auto w : cap->weights)
@@ -214,6 +236,16 @@ TEST(Prof, ReportNamesTheVerdict)
               std::string::npos);
     EXPECT_NE(report.find("weighted split would cut"),
               std::string::npos);
+    // The cost the re-cut balances: a hotspot's planes split is
+    // further off balance by cost than by ticks alone.
+    const auto costPos = report.find("\ncost_imbalance ");
+    const auto weightPos = report.find("\nweight_imbalance ");
+    ASSERT_NE(costPos, std::string::npos);
+    ASSERT_NE(weightPos, std::string::npos);
+    const double cost = std::atof(report.c_str() + costPos + 16);
+    const double weight = std::atof(report.c_str() + weightPos + 18);
+    EXPECT_GT(cost, weight);
+    EXPECT_NE(report.find("max cost share"), std::string::npos);
 }
 
 TEST(Prof, StreamRoundTripsThroughParser)
@@ -237,6 +269,8 @@ TEST(Prof, StreamRoundTripsThroughParser)
     EXPECT_EQ(parsed.workers, res.prof->workers);
     EXPECT_EQ(parsed.epochs.size(), res.prof->epochs.size());
     EXPECT_EQ(parsed.weights, res.prof->weights);
+    EXPECT_EQ(parsed.flits, res.prof->flits);
+    EXPECT_EQ(parsed.sinkFlits, res.prof->sinkFlits);
     for (std::size_t e = 0; e < parsed.epochs.size(); e++) {
         EXPECT_EQ(parsed.epochs[e].cycle, res.prof->epochs[e].cycle);
         EXPECT_EQ(parsed.epochs[e].weights,

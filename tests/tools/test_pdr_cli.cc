@@ -157,6 +157,20 @@ TEST(PdrCli, SweepRunsOnAKAry3Cube)
     EXPECT_NE(res.out.find("0.100"), std::string::npos) << res.out;
 }
 
+TEST(PdrCli, RunDerivesPortsFromTheTopology)
+{
+    // No router.num_ports flag: a 3-cube's routers get their 7 ports
+    // from the topology, not a 2D mesh's 5.
+    auto res = run("run --net.topology=kary3cube --net.k=3 "
+                   "--router.model=specVC --router.num_vcs=2 "
+                   "--router.buf_depth=4 --sim.warmup=200 "
+                   "--sim.sample_packets=200 "
+                   "--traffic.offered_fraction=0.2");
+    EXPECT_EQ(res.status, 0) << res.out;
+    EXPECT_NE(res.out.find("avg_latency"), std::string::npos)
+        << res.out;
+}
+
 TEST(PdrCli, FlagsAcceptEqualsSyntax)
 {
     auto res = run(std::string("describe --file=") +
@@ -317,7 +331,7 @@ TEST(PdrCliPartition, WorkerCountNeverChangesTheCsv)
 
     for (const char *extra :
          {" --par.workers=2", " --par.workers=4",
-          " --par.workers=4 --par.scheme=weighted"}) {
+          " --par.workers=4 --par.scheme=planes"}) {
         for (const char *env : {"PDR_THREADS=1", "PDR_THREADS=4"}) {
             auto res = run(std::string(kTinySweep) + extra, env);
             ASSERT_EQ(res.status, 0) << extra << ": " << res.out;
