@@ -14,8 +14,8 @@
  * requestor i is then one AND-reduce -- i wins iff no *other* requestor
  * falls outside row i: (requests & ~row_i & ~bit_i) == 0 -- and
  * arbitrate walks only the set bits of the request word.  The scalar
- * reference implementation is retained verbatim as
- * ScalarMatrixArbiter in scalar_oracle.hh; tests/arb/test_alloc_equiv.cc
+ * reference implementation is retained verbatim as the test oracle
+ * ScalarMatrixArbiter in tests/arb/, and tests/arb/test_alloc_equiv.cc
  * drives both in lockstep.
  *
  * The row engine is a set of static functions over a raw row pointer,

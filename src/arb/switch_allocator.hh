@@ -28,9 +28,8 @@
  * the separable allocator of its kind, skips a pass with no requests,
  * and appends both passes' grants to one result vector; its kill test
  * is two mask intersections.  The previous dense implementations are
- * retained verbatim in scalar_oracle.hh as the equivalence oracle:
- * grants and priority evolution are bit-identical
- * (tests/arb/test_alloc_equiv.cc).
+ * retained verbatim as the test oracle in tests/arb/: grants and
+ * priority evolution are bit-identical (tests/arb/test_alloc_equiv.cc).
  */
 
 #ifndef PDR_ARB_SWITCH_ALLOCATOR_HH
@@ -62,9 +61,9 @@ struct SaGrant
 };
 
 /**
- * Interface of the wormhole per-output-port arbiter, so the router can
- * swap the bitmask engine for the scalar oracle at runtime
- * (router.scalar_alloc; same grants either way).
+ * Interface of the wormhole per-output-port arbiter, so the equivalence
+ * tests can swap the scalar oracle into a router
+ * (Router::replaceAllocators; same grants either way).
  */
 class WormholeArbiterBase
 {
@@ -89,7 +88,7 @@ class WormholeArbiterBase
 };
 
 /** Interface of the per-flit switch allocators (separable and
- *  speculative), runtime-swappable against the scalar oracle. */
+ *  speculative), swappable against the tests' scalar oracle. */
 class SwitchAllocatorBase
 {
   public:

@@ -20,9 +20,9 @@
  * MatrixArbiterSlab; when a (p*v)-wide row fits in one word (p * v <=
  * 64, e.g. the paper's 5 x 2 router) stage 2 takes the single-word
  * arbitrateWord/updateWord forms.  The dense predicate-driven reference
- * implementation is retained verbatim as ScalarVcAllocator in
- * scalar_oracle.hh; grants and priority evolution are bit-identical
- * (tests/arb/test_alloc_equiv.cc).
+ * implementation is retained verbatim as the test oracle
+ * ScalarVcAllocator in tests/arb/; grants and priority evolution are
+ * bit-identical (tests/arb/test_alloc_equiv.cc).
  */
 
 #ifndef PDR_ARB_VC_ALLOCATOR_HH
@@ -55,8 +55,8 @@ struct VaGrant
     int outVc;
 };
 
-/** Interface of the VC allocator, runtime-swappable against the scalar
- *  oracle (router.scalar_alloc; same grants either way). */
+/** Interface of the VC allocator, swappable against the tests' scalar
+ *  oracle (Router::replaceAllocators; same grants either way). */
 class VcAllocatorBase
 {
   public:

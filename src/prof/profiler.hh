@@ -10,7 +10,7 @@
  *  - mark(w, phase): worker `w` timestamps a phase transition into
  *    its own cache-line-aligned shard (two wall-clock reads per cycle
  *    on the serial path, four per worker on the parallel path -- only
- *    when a profiler is attached; bench_core records the A/B).
+ *    when a profiler is attached).
  *  - per-router tick counts (Network::routerTicks), flits forwarded
  *    and per-node flits ejected: counters the simulation keeps
  *    anyway, read at each epoch and differenced.  They are pure

@@ -111,6 +111,19 @@ class Router
     void tick(sim::Cycle now);
 
     /**
+     * Test seam: swap in other implementations of the allocator
+     * interfaces (the equivalence tests' scalar oracle).  Each
+     * non-null argument replaces the allocator of that role, which
+     * this router's model must have built; null keeps the built one.
+     * Call before the first flit arrives, while every allocator still
+     * holds its initial priority state.
+     */
+    void replaceAllocators(std::unique_ptr<arb::WormholeArbiterBase> wh,
+                           std::unique_ptr<arb::VcAllocatorBase> va,
+                           std::unique_ptr<arb::SwitchAllocatorBase> sa,
+                           std::unique_ptr<arb::SwitchAllocatorBase> spec);
+
+    /**
      * Earliest cycle at which ticking this router can do observable
      * work, evaluated after a tick at `now`.  Skipping every cycle
      * before the returned one is a provable no-op: the router wakes
@@ -467,9 +480,8 @@ class Router
      *  candidates() vector and the per-attempt re-route. */
     bool adaptive_ = false;
 
-    // Allocators (constructed per model; the bitmask engine by
-    // default, the dense scalar oracle under cfg.scalarAlloc -- same
-    // grants either way).
+    // Allocators, constructed per model (replaceAllocators swaps them
+    // in tests).
     std::unique_ptr<arb::WormholeArbiterBase> whArb_;
     std::unique_ptr<arb::VcAllocatorBase> vcAlloc_;
     std::unique_ptr<arb::SwitchAllocatorBase> saAlloc_;

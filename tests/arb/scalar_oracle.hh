@@ -1,21 +1,20 @@
 /**
  * @file
  * Scalar reference allocators: the dense byte-row implementations that
- * predate the bitmask engine, retained verbatim as the equivalence
- * oracle.
+ * predate the bitmask engine, retained verbatim as the test oracle.
  *
  * Every class here implements the same interface as its bitmask
- * counterpart and must produce bit-identical grants and priority-state
- * evolution; tests/arb/test_alloc_equiv.cc drives both in lockstep over
- * seeded random request streams, and the router can be switched onto
- * this path wholesale with router.scalar_alloc (the bench_core A/B
- * scenarios and whole-network golden comparisons use that).  Nothing
- * here is on the default hot path, so the dense scans carry justified
- * PDR-PERF-DENSESCAN suppressions rather than a rewrite.
+ * counterpart in src/arb/ and must produce bit-identical grants and
+ * priority-state evolution.  tests/arb/test_alloc_equiv.cc drives both
+ * in lockstep over seeded random request streams, and moves whole
+ * networks onto this path through Router::replaceAllocators.  The
+ * code is test-only (it is not part of libpdr), so its dense scans are
+ * deliberate: they are the reference the packed-word engine is
+ * checked against.
  */
 
-#ifndef PDR_ARB_SCALAR_ORACLE_HH
-#define PDR_ARB_SCALAR_ORACLE_HH
+#ifndef PDR_TESTS_ARB_SCALAR_ORACLE_HH
+#define PDR_TESTS_ARB_SCALAR_ORACLE_HH
 
 #include <functional>
 #include <vector>
@@ -121,8 +120,8 @@ class ScalarVcAllocator : public VcAllocatorBase
     ScalarVcAllocator(int p, int v);
 
     /** Packed-word entry of the common interface: wraps the words back
-     *  into a predicate so the retained algorithm (and its cost shape)
-     *  is exactly the pre-bitmask one. */
+     *  into a predicate so the retained algorithm is exactly the
+     *  pre-bitmask one. */
     const std::vector<VaGrant> &
     allocate(const std::vector<VaRequest> &requests,
              const std::uint64_t *free_vcs) override;
@@ -151,4 +150,4 @@ class ScalarVcAllocator : public VcAllocatorBase
 
 } // namespace pdr::arb
 
-#endif // PDR_ARB_SCALAR_ORACLE_HH
+#endif // PDR_TESTS_ARB_SCALAR_ORACLE_HH

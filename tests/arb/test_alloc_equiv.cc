@@ -12,8 +12,9 @@
  * end, so a divergence in arbiter updates is caught even when it has
  * not yet produced a differing grant.
  *
- * An end-to-end layer runs whole simulations with router.scalar_alloc
- * on and off and requires identical results, covering the router's
+ * An end-to-end layer steps two networks built from one config, one of
+ * them moved onto the oracle router by router, and requires identical
+ * delivery traces and router counters.  That covers the router's
  * sparse bid staging (bidRouteWait_/bidActive_/outFree_) on top of the
  * allocators themselves.
  */
@@ -21,15 +22,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <tuple>
 #include <vector>
 
-#include "api/simulation.hh"
 #include "arb/matrix_arbiter.hh"
 #include "arb/scalar_oracle.hh"
 #include "arb/switch_allocator.hh"
 #include "arb/vc_allocator.hh"
 #include "common/rng.hh"
+#include "net/network.hh"
 
 using namespace pdr;
 using namespace pdr::arb;
@@ -257,53 +259,128 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------
-// End-to-end: whole simulations with router.scalar_alloc on/off.
+// End-to-end: two networks from one config, one of them moved onto the
+// scalar oracle through Router::replaceAllocators, stepped side by side.
 // ---------------------------------------------------------------------
 
 namespace {
 
-api::SimResults
-runModel(RouterModel model, int vcs, bool scalar)
+net::NetworkConfig
+e2eConfig(RouterModel model, int vcs)
 {
-    api::SimConfig cfg;
-    cfg.net.k = 4;
-    cfg.net.router.model = model;
-    cfg.net.router.numVcs = vcs;
-    cfg.net.router.bufDepth = 4;
-    cfg.net.router.scalarAlloc = scalar;
-    cfg.net.setOfferedFraction(0.3);
-    cfg.mode = "fixed";
-    cfg.horizon = 4000;
-    return api::runSimulation(cfg);
+    net::NetworkConfig cfg;
+    cfg.k = 4;
+    cfg.router.model = model;
+    cfg.router.numVcs = vcs;
+    cfg.router.bufDepth = 4;
+    cfg.setOfferedFraction(0.3);
+    return cfg;
+}
+
+/** Swap every allocator of every router in `net` for its oracle. */
+void
+useScalarOracle(net::Network &net)
+{
+    for (int r = 0; r < net.lattice().numRouters(); r++) {
+        router::Router &rt = net.routerAt(r);
+        const router::RouterConfig &c = rt.config();
+        const int p = c.numPorts, v = c.numVcs;
+        std::unique_ptr<WormholeArbiterBase> wh;
+        std::unique_ptr<VcAllocatorBase> va;
+        std::unique_ptr<SwitchAllocatorBase> sa, spec;
+        if (c.model == RouterModel::Wormhole) {
+            wh = std::make_unique<ScalarWormholeSwitchArbiter>(p);
+        } else {
+            va = std::make_unique<ScalarVcAllocator>(p, v);
+            if (c.model == RouterModel::SpecVirtualChannel &&
+                !c.singleCycle && !c.specEqualPriority)
+                spec = std::make_unique<ScalarSpeculativeSwitchAllocator>(
+                    p, v);
+            else
+                sa = std::make_unique<ScalarSeparableSwitchAllocator>(p, v);
+        }
+        rt.replaceAllocators(std::move(wh), std::move(va), std::move(sa),
+                             std::move(spec));
+    }
 }
 
 void
-expectSameResults(RouterModel model, int vcs)
+expectSameRun(const net::NetworkConfig &cfg)
 {
-    const auto bit = runModel(model, vcs, false);
-    const auto sca = runModel(model, vcs, true);
-    EXPECT_EQ(bit.cycles, sca.cycles);
-    EXPECT_DOUBLE_EQ(bit.avgLatency, sca.avgLatency);
-    EXPECT_DOUBLE_EQ(bit.acceptedFraction, sca.acceptedFraction);
-    EXPECT_EQ(bit.routers.flitsIn, sca.routers.flitsIn);
-    EXPECT_EQ(bit.routers.vaGrants, sca.routers.vaGrants);
-    EXPECT_EQ(bit.routers.specSaAttempts, sca.routers.specSaAttempts);
-    EXPECT_EQ(bit.routers.specSaUseful, sca.routers.specSaUseful);
+    constexpr sim::Cycle kCycles = 4000;
+    net::Network bit(cfg), sca(cfg);
+    useScalarOracle(sca);
+    std::vector<traffic::Delivery> bt, st;
+    bit.recordDeliveries(&bt);
+    sca.recordDeliveries(&st);
+    bit.run(kCycles);
+    sca.run(kCycles);
+
+    ASSERT_EQ(bt.size(), st.size());
+    ASSERT_GT(bt.size(), 0u) << "test drove no traffic";
+    for (std::size_t i = 0; i < bt.size(); i++) {
+        EXPECT_EQ(bt[i].packet, st[i].packet) << "delivery " << i;
+        EXPECT_EQ(bt[i].dest, st[i].dest) << "delivery " << i;
+        EXPECT_EQ(bt[i].at, st[i].at) << "delivery " << i;
+        EXPECT_EQ(bt[i].latency, st[i].latency) << "delivery " << i;
+    }
+    for (int r = 0; r < bit.lattice().numRouters(); r++) {
+        const auto b = bit.routerAt(r).statsAt(kCycles);
+        const auto s = sca.routerAt(r).statsAt(kCycles);
+        EXPECT_EQ(b.flitsIn, s.flitsIn) << "router " << r;
+        EXPECT_EQ(b.flitsOut, s.flitsOut) << "router " << r;
+        EXPECT_EQ(b.headGrants, s.headGrants) << "router " << r;
+        EXPECT_EQ(b.vaGrants, s.vaGrants) << "router " << r;
+        EXPECT_EQ(b.specSaAttempts, s.specSaAttempts) << "router " << r;
+        EXPECT_EQ(b.specSaWins, s.specSaWins) << "router " << r;
+        EXPECT_EQ(b.specSaUseful, s.specSaUseful) << "router " << r;
+        EXPECT_EQ(b.creditStallCycles, s.creditStallCycles)
+            << "router " << r;
+        EXPECT_EQ(b.bufOccupancy, s.bufOccupancy) << "router " << r;
+    }
 }
 
 } // namespace
 
 TEST(AllocEquivEndToEnd, Wormhole)
 {
-    expectSameResults(RouterModel::Wormhole, 1);
+    expectSameRun(e2eConfig(RouterModel::Wormhole, 1));
 }
 
 TEST(AllocEquivEndToEnd, VirtualChannel)
 {
-    expectSameResults(RouterModel::VirtualChannel, 4);
+    expectSameRun(e2eConfig(RouterModel::VirtualChannel, 4));
 }
 
 TEST(AllocEquivEndToEnd, SpecVirtualChannel)
 {
-    expectSameResults(RouterModel::SpecVirtualChannel, 4);
+    expectSameRun(e2eConfig(RouterModel::SpecVirtualChannel, 4));
+}
+
+// West-first re-routes on every VA attempt, so the allocators see a
+// head's request change from cycle to cycle.
+TEST(AllocEquivEndToEnd, SpecVirtualChannelAdaptive)
+{
+    auto cfg = e2eConfig(RouterModel::SpecVirtualChannel, 2);
+    cfg.routing = "westfirst";
+    cfg.setOfferedFraction(0.5);
+    expectSameRun(cfg);
+}
+
+// Dateline VC classes restrict each head's candidate output VCs.
+TEST(AllocEquivEndToEnd, SpecVirtualChannelTorus)
+{
+    auto cfg = e2eConfig(RouterModel::SpecVirtualChannel, 4);
+    cfg.topology = "torus";
+    expectSameRun(cfg);
+}
+
+// The seam replaces only allocators the router's model built.
+TEST(AllocEquivEndToEndDeathTest, SeamRejectsRoleTheModelLacks)
+{
+    net::Network net(e2eConfig(RouterModel::Wormhole, 1));
+    EXPECT_DEATH(net.routerAt(0).replaceAllocators(
+                     nullptr, std::make_unique<ScalarVcAllocator>(5, 1),
+                     nullptr, nullptr),
+                 "slot");
 }

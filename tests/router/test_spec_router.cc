@@ -148,9 +148,10 @@ TEST(SpecRouter, StreamsAtFullRate)
     SingleRouter h(specConfig(2, 8));
     injectPacket(h, 0, 0, 1, 1, 5);
     std::vector<sim::Cycle> departures;
-    for (int cycle = 0; cycle < 15; cycle++)
-        for (auto &[port, f] : h.step())
-            departures.push_back(h.now() - 1);
+    for (int cycle = 0; cycle < 15; cycle++) {
+        const std::size_t n = h.step().size();
+        departures.insert(departures.end(), n, h.now() - 1);
+    }
     ASSERT_EQ(departures.size(), 5u);
     for (std::size_t i = 1; i < 5; i++)
         EXPECT_EQ(departures[i], departures[i - 1] + 1);
