@@ -355,9 +355,10 @@ defs()
              c.horizon = sim::Cycle(parseU64("sim.horizon", v, 1));
          }},
         {"sim.audit",
-         "run the per-cycle invariant auditor (wake-table exactness, "
-         "credit conservation, flit-pool leaks); PDR_AUDIT=1 also "
-         "enables it",
+         "run the per-cycle invariant auditor (wake-table and "
+         "arrival-calendar exactness, credit conservation, allocation "
+         "bitsets, flit-pool leaks) at any par.workers; PDR_AUDIT=1 "
+         "also enables it",
          [](const SimConfig &c) {
              return std::string(c.net.audit ? "true" : "false");
          },

@@ -51,16 +51,6 @@ runSimulation(const SimConfig &cfg)
     net::Network network(cfg.net);
     auto &ctrl = network.controller();
 
-    // The per-cycle auditor hooks the serial Network::step() path only
-    // (a one-worker stepper is exactly that path); partitioned phase
-    // state is torn between barriers, so with real workers the
-    // per-cycle checks cannot run.  Teardown leak detection still can.
-    if (network.auditEnabled() && par::resolveWorkers(cfg.parWorkers) > 1) {
-        pdr_warn("sim.audit: per-cycle checks are bypassed with "
-                 "par.workers > 1 (only the teardown flit-leak check "
-                 "runs); use par.workers = 1 for full auditing");
-    }
-
     // Intra-network partitioned stepping: bit-identical to serial
     // stepping for any worker count (the stepper with one worker is
     // exactly Network::step()), so the measurement protocol below is

@@ -334,6 +334,7 @@ Network::componentName(std::size_t comp) const
 void
 Network::auditCycle()
 {
+    pdr_assert(auditor_);
     // Checks are counted in bulk and diagnostics built only on the
     // failure path -- the audited hot loop must not allocate.
     std::uint64_t checks = 0;
@@ -376,6 +377,34 @@ Network::auditCycle()
                              (unsigned long long)ready));
             }
         }
+    }
+
+    // [AUD-ARRIVE] Arrival-calendar exactness: a router pops only the
+    // channels its calendar marks for the cycle, so the front item of
+    // every channel a router consumes must be marked in the slot of
+    // its ready cycle (with the slot's summary bit).  Together with
+    // AUD-WAKE this means the router both ticks and looks at the
+    // channel on the item's ready cycle.  Channels without a calendar
+    // (source credits, sink flits) pass vacuously.
+    auto arrive = [&](bool marked, std::size_t consumer,
+                      const char *what, sim::Cycle ready) {
+        checks++;
+        if (!marked) {
+            auditor_->fail(
+                now_, componentName(consumer), "AUD-ARRIVE",
+                csprintf("a %s in flight ready at cycle %llu is not "
+                         "marked in the arrival calendar (missed "
+                         "Channel::attach mark or remark)",
+                         what, (unsigned long long)ready));
+        }
+    };
+    for (std::size_t i = 0; i < flitChans_.size(); i++) {
+        arrive(flitChans_[i].frontMarked(), flitConsumer_[i], "flit",
+               flitChans_[i].nextReady());
+    }
+    for (std::size_t i = 0; i < creditChans_.size(); i++) {
+        arrive(creditChans_[i].frontMarked(), creditConsumer_[i],
+               "credit", creditChans_[i].nextReady());
     }
 
     // [AUD-CREDIT] Conservation: for every link and VC, buffer slots

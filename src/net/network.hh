@@ -93,12 +93,14 @@ struct NetworkConfig
     std::uint64_t samplePackets = 100000; //!< Sample-space size.
     /**
      * Run the per-cycle invariant auditor (sim::Auditor): wake-table
-     * exactness, per-link credit conservation, flit-pool leak checks.
-     * Purely observational -- results are bit-identical either way --
-     * but costs a scan per cycle, so it is a debug switch, not a
+     * and arrival-calendar exactness, per-link credit conservation,
+     * allocation-bitset consistency, flit-pool leak checks.  Purely
+     * observational -- results are bit-identical either way -- but
+     * costs a scan per cycle, so it is a debug switch, not a
      * production default.  PDR_AUDIT=1 in the environment enables it
-     * regardless of this flag.  Serial stepping only (par.workers > 1
-     * bypasses the audited step path).
+     * regardless of this flag.  Serial and partitioned stepping both
+     * run the per-cycle checks (the latter at its cycle-start safe
+     * point).
      */
     bool audit = false;
 
@@ -367,6 +369,19 @@ class Network
      *  credit conservation every cycle. */
     bool auditEnabled() const { return auditor_ != nullptr; }
 
+    /**
+     * The per-cycle checks, run at a cycle boundary before any tick of
+     * cycle now(): [AUD-WAKE] no consumer sleeps past a matured
+     * channel item; [AUD-ARRIVE] every router-consumed channel's front
+     * item is marked in its consumer's arrival calendar;
+     * [AUD-CREDIT] every link VC conserves its buffer depth;
+     * [AUD-BID] every router's allocation bitsets match a dense
+     * recompute.  step() calls it; the parallel stepper calls it on
+     * worker 0 while the gang is parked with every staging buffer
+     * drained.  Requires auditEnabled().
+     */
+    void auditCycle();
+
     /** The auditor (check counters); nullptr when auditing is off. */
     const sim::Auditor *auditor() const { return auditor_.get(); }
 
@@ -455,11 +470,6 @@ class Network
 
     std::unique_ptr<sim::Auditor> auditor_;
     std::vector<AuditLink> auditLinks_;
-
-    /** Per-cycle checks, run by step() before the tick phases:
-     *  [AUD-WAKE] no consumer sleeps past a matured channel item;
-     *  [AUD-CREDIT] every link VC conserves its buffer depth. */
-    void auditCycle();
 
     FlitChannel *newFlitChan(sim::Cycle latency, std::size_t producer,
                              std::size_t consumer);

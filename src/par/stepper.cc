@@ -295,6 +295,11 @@ ParallelStepper::step()
     syncTrace();
     if (recutting_ && net_.now() >= nextRecut_)
         recut();
+    // Cycle-start safe point: the gang is parked and every staging
+    // buffer was drained last cycle, so the network reads exactly as
+    // it would before a serial step().
+    if (net_.auditEnabled())
+        net_.auditCycle();
     if (prof_)
         prof_->mark(0, prof::Profiler::Phase::Tick);
 

@@ -88,6 +88,8 @@ Router::connectInput(int port, FlitChannel *in, CreditChannel *credit_out)
     pdr_assert(port >= 0 && port < cfg_.numPorts);
     inputs_[port].in = in;
     inputs_[port].creditOut = credit_out;
+    if (in)
+        in->attach(&cal_, sim::ArrivalCalendar::Flit, port);
 }
 
 void
@@ -97,6 +99,8 @@ Router::connectOutput(int port, FlitChannel *out, CreditChannel *credit_in,
     pdr_assert(port >= 0 && port < cfg_.numPorts);
     outputs_[port].out = out;
     outputs_[port].creditIn = credit_in;
+    if (credit_in)
+        credit_in->attach(&cal_, sim::ArrivalCalendar::Credit, port);
     const std::uint64_t bit = std::uint64_t(1) << port;
     sinkPorts_ = is_sink ? (sinkPorts_ | bit) : (sinkPorts_ & ~bit);
 }
@@ -264,8 +268,13 @@ Router::tick(sim::Cycle now)
             std::uint64_t(bufferedNow_) * (now - occObsAt_);
         occObsAt_ = now;
     }
-    receiveCredits(now);
-    receiveFlits(now);
+    // The calendar slot for `now` names every channel with an arrival
+    // this cycle (every item is consumed on its exact ready cycle).
+    const sim::ArrivalCalendar::Due due = cal_.take(now);
+    if (due.credit || !pendingCredits_.empty())
+        receiveCredits(now, due.credit);
+    if (due.flit)
+        receiveFlits(now, due.flit);
     if (cfg_.model == RouterModel::Wormhole) {
         saPhaseWormhole(now);
     } else {
@@ -275,15 +284,16 @@ Router::tick(sim::Cycle now)
 }
 
 void
-Router::receiveCredits(sim::Cycle now)
+Router::receiveCredits(sim::Cycle now, std::uint64_t ports)
 {
-    // Accept newly arrived credits into the processing pipeline first.
-    // With proc == 0 a credit is usable by this very cycle's allocation,
-    // so it is applied on arrival and never queued.
-    for (int port = 0; port < cfg_.numPorts; port++) {
+    // Accept newly arrived credits into the processing pipeline first,
+    // in ascending port order.  With proc == 0 a credit is usable by
+    // this very cycle's allocation, so it is applied on arrival and
+    // never queued.
+    while (ports) {
+        const int port = arb::ctz64(ports);
+        ports &= ports - 1;
         auto *chan = outputs_[port].creditIn;
-        if (!chan)
-            continue;
         while (auto c = chan->pop(now)) {
             pdr_assert(c->vc >= 0 && c->vc < cfg_.numVcs);
             if (creditProc_ == 0) {
@@ -295,6 +305,7 @@ Router::receiveCredits(sim::Cycle now)
                     {now + sim::Cycle(creditProc_), port, c->vc});
             }
         }
+        chan->remark();
     }
 
     // Apply credits that finished the processing pipeline.
@@ -308,12 +319,12 @@ Router::receiveCredits(sim::Cycle now)
 }
 
 void
-Router::receiveFlits(sim::Cycle now)
+Router::receiveFlits(sim::Cycle now, std::uint64_t ports)
 {
-    for (int port = 0; port < cfg_.numPorts; port++) {
+    while (ports) {
+        const int port = arb::ctz64(ports);
+        ports &= ports - 1;
         auto *chan = inputs_[port].in;
-        if (!chan)
-            continue;
         while (auto r = chan->pop(now)) {
             const sim::Flit &f = pool_.get(*r);
             pdr_assert(f.vc >= 0 && f.vc < cfg_.numVcs);
@@ -334,6 +345,7 @@ Router::receiveFlits(sim::Cycle now)
             syncBid(vidx(port, f.vc));
             stats_.flitsIn++;
         }
+        chan->remark();
     }
 }
 
@@ -667,15 +679,12 @@ Router::nextWake(sim::Cycle now)
         }
     }
 
-    // External events: maturing credits and in-flight arrivals.
+    // External events: maturing credits and the next marked arrival
+    // slot (this tick took slot `now`, so anything marked there now is
+    // a full calendar turn away).
     if (!pendingCredits_.empty())
         t = std::min(t, pendingCredits_.front().applyAt);
-    for (const auto &ip : inputs_)
-        if (ip.in)
-            t = std::min(t, ip.in->nextReady());
-    for (const auto &op : outputs_)
-        if (op.creditIn)
-            t = std::min(t, op.creditIn->nextReady());
+    t = std::min(t, cal_.next(now + 1));
     return std::max(t, now + 1);
 }
 

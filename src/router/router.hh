@@ -40,6 +40,7 @@
 #include "arb/vc_allocator.hh"
 #include "router/config.hh"
 #include "router/routing.hh"
+#include "sim/calendar.hh"
 #include "sim/channel.hh"
 #include "sim/flit.hh"
 #include "sim/flit_pool.hh"
@@ -93,7 +94,8 @@ class Router
     /**
      * Wire input port `port`: flits arrive on `in`; credits for freed
      * buffers are returned upstream on `credit_out` (nullptr for an
-     * unused edge port).
+     * unused edge port).  `in` is attached to this router's arrival
+     * calendar as input `port`, so the router must not move afterwards.
      */
     void connectInput(int port, FlitChannel *in,
                       CreditChannel *credit_out);
@@ -102,7 +104,8 @@ class Router
      * Wire output port `port`: departing flits go to `out`; credits
      * from the downstream input buffer come back on `credit_in`.
      * `is_sink` marks an ejection port (infinite downstream buffering,
-     * per the paper's immediate-ejection assumption).
+     * per the paper's immediate-ejection assumption).  `credit_in` is
+     * attached to this router's arrival calendar as output `port`.
      */
     void connectOutput(int port, FlitChannel *out,
                        CreditChannel *credit_in, bool is_sink);
@@ -134,8 +137,9 @@ class Router
      * stall statistic is interval-accounted and the credit that ends
      * the stall arrives through a watched channel, which re-lowers the
      * wake entry.  Internal future deadlines (pipeline eligibility,
-     * VA-to-SA latency, maturing credits) and in-flight channel
-     * arrivals bound the result; CycleNever when fully idle.
+     * VA-to-SA latency, maturing credits) and the next marked slot of
+     * the arrival calendar bound the result; CycleNever when fully
+     * idle.
      *
      * Non-const: deciding to sleep on a ready-but-creditless VC opens
      * its stall interval (openStall), so that a stall *entered* during
@@ -219,6 +223,12 @@ class Router
      */
     std::string auditBidState() const;
 
+    /**
+     * TEST ONLY: the arrival calendar, so tests/sim/test_audit.cc can
+     * drop a mark (the hazard AUD-ARRIVE exists to catch).
+     */
+    sim::ArrivalCalendar &arrivalsForTest() { return cal_; }
+
   private:
     /** Input-VC pipeline states (invc_state / inpc_state of Figs 2, 3). */
     enum class VcState : std::uint8_t
@@ -276,9 +286,10 @@ class Router
         int vc;
     };
 
-    // Tick phases, in order.
-    void receiveCredits(sim::Cycle now);
-    void receiveFlits(sim::Cycle now);
+    // Tick phases, in order.  The receive phases pop only the channels
+    // whose bits the arrival calendar holds for this cycle.
+    void receiveCredits(sim::Cycle now, std::uint64_t ports);
+    void receiveFlits(sim::Cycle now, std::uint64_t ports);
     void vaPhase(sim::Cycle now);
     void saPhaseWormhole(sim::Cycle now);
     void saPhaseVc(sim::Cycle now);
@@ -493,6 +504,15 @@ class Router
     std::vector<int> candScratch_;
 
     RouterStats stats_;
+
+    /**
+     * Channels due per cycle (sim/calendar.hh): every attached input
+     * flit channel and output credit channel marks its port here when
+     * an item enters it.  The channels point at it, so a router must
+     * not move once connected (Network keeps its routers in an
+     * exactly reserved slab).
+     */
+    sim::ArrivalCalendar cal_;
 };
 
 } // namespace pdr::router

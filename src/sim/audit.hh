@@ -5,7 +5,7 @@
  *
  * The golden-CSV gates and the lockstep tests prove *that* a change
  * broke bit-exactness; the auditor exists to say *where*.  When
- * enabled (PDR_AUDIT=1 or sim.audit=true) the Network runs three
+ * enabled (PDR_AUDIT=1 or sim.audit=true) the Network runs five
  * classes of checks and fails at the offending cycle with the
  * offending component named, instead of surfacing as a byte-diff ten
  * thousand cycles later:
@@ -16,6 +16,13 @@
  *     entry lies in the future while an input is deliverable would
  *     have acted under forceTickAll but not under the skipping
  *     schedule -- a broken nextWake() or a missed Channel::watch.
+ *   - arrival-calendar exactness [AUD-ARRIVE]: a router pops only the
+ *     channels its arrival calendar marks for the cycle, so the front
+ *     item in flight on every channel a router consumes must be marked
+ *     in the slot of its ready cycle.  An unmarked front is an arrival
+ *     the router would tick for (AUD-WAKE holds) but never look at --
+ *     a missed mark in Channel::push / drainStaged or a missed
+ *     Channel::remark.
  *   - credit conservation [AUD-CREDIT]: for every (link, VC), credits
  *     held upstream + credits maturing in the upstream pipeline +
  *     credits on the wire + flits buffered downstream + flits on the
@@ -36,9 +43,10 @@
  * Failures throw sim::AuditError (tests assert on it; the CLI lets it
  * terminate with the diagnostic).  The auditor is observational: it
  * never mutates simulation state, so an audited run is bit-identical
- * to an unaudited one.  Checks run on the serial stepping path only
- * (Network::step()); partitioned phase state is torn between barriers
- * and is covered by the par lockstep tests instead.
+ * to an unaudited one.  The per-cycle checks run at a cycle boundary:
+ * Network::step() runs them before its tick phases, and the parallel
+ * stepper runs them on worker 0 at its cycle-start safe point, where
+ * the gang is parked and every staging buffer is drained.
  */
 
 #ifndef PDR_SIM_AUDIT_HH

@@ -12,23 +12,36 @@
  *
  * Channels participate in activity-driven ticking: a channel may be
  * told (watch) which component consumes it, and every push then lowers
- * that component's wake time to the item's ready cycle.  nextReady()
- * exposes the earliest in-flight ready time so a component going idle
- * can report when its inputs next demand attention.  Credit channels
- * are watched exactly like flit channels: a credit return is a wake
- * event, which is what lets a router (or source) blocked on zero
- * credits clear its wake entry and sleep until the credit that ends
- * the stall arrives (see Router::nextWake / Source::nextWake).
+ * that component's wake time to the item's ready cycle.  Credit
+ * channels are watched exactly like flit channels: a credit return is
+ * a wake event, which is what lets a router (or source) blocked on
+ * zero credits clear its wake entry and sleep until the credit that
+ * ends the stall arrives (see Router::nextWake / Source::nextWake).
+ *
+ * Delivery is push-model for routers.  A channel whose consumer is a
+ * router is attached to that router's sim::ArrivalCalendar with the
+ * consumer's port bit, and every item entering the queue marks the
+ * slot of its ready cycle.  The router's tick then pops only the
+ * channels marked for `now`, and its nextWake reads the calendar
+ * instead of each channel's nextReady().  After draining a marked
+ * channel the router calls remark(), which marks the new front item
+ * again: the tick cleared the slot, and an item more than one calendar
+ * turn away aliases that slot (see sim/calendar.hh).  So the front item
+ * in flight is always marked in its slot (audited as AUD-ARRIVE).
+ * Sources and sinks consume one channel each; their channels have no
+ * calendar, mark nothing, and are read through pop() and nextReady().
  *
  * Partitioned stepping (src/par/) puts channels that cross a worker
  * boundary into *staged* mode: push() then appends to a private
  * single-producer staging buffer instead of the live queue, and
  * drainStaged() -- called by the consumer's worker after the per-cycle
  * barrier -- merges the staged items and applies the deferred wake-table
- * updates.  Because items pushed at cycle t are deliverable at t+1 or
- * later, draining at the end of cycle t is indistinguishable from the
- * serial immediate push, and the min() wake update reproduces the
- * serial wake table exactly whatever the intra-cycle tick order was.
+ * updates and calendar marks.  Because items pushed at cycle t are
+ * deliverable at t+1 or later, draining at the end of cycle t is
+ * indistinguishable from the serial immediate push, and the min() wake
+ * update reproduces the serial wake table exactly whatever the
+ * intra-cycle tick order was.  An unstaged push has its producer and
+ * consumer on the same worker, so calendar marks never race.
  *
  * The in-flight items live in a sim::Ring (a growable power-of-two
  * ring).  Each channel has one producer port, and a port sends at most
@@ -47,17 +60,19 @@
 #define PDR_SIM_CHANNEL_HH
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/logging.hh"
+#include "sim/calendar.hh"
 #include "sim/ring.hh"
 #include "sim/types.hh"
 
 namespace pdr::sim {
 
 /** A fixed-latency delay line carrying items of type T.  The fields a
- *  push or pop touches come first, within 40 bytes. */
+ *  push or pop touches come first, within 56 bytes. */
 template <typename T>
 class Channel
 {
@@ -85,6 +100,21 @@ class Channel
     }
 
     /**
+     * Wire up push-model delivery: every item entering the queue marks
+     * bit `bit` of the `kind` word in `cal`'s slot for its ready cycle.
+     * The consumer owns `cal`, which must outlive the channel's use.
+     * Attach before the first push.
+     */
+    void
+    attach(ArrivalCalendar *cal, ArrivalCalendar::Kind kind, int bit)
+    {
+        pdr_assert(q_.empty() && bit >= 0 && bit < 64);
+        cal_ = cal;
+        calBit_ = std::uint64_t(1) << bit;
+        calKind_ = kind;
+    }
+
+    /**
      * Push an item at cycle `now`; it is deliverable at
      * now + latency + extra.  Pushes must be issued in nondecreasing
      * ready order (guaranteed when `extra` is constant per sender).
@@ -95,27 +125,28 @@ class Channel
         Cycle ready = now + latency_ + extra;
         if (staging_) {
             // Cross-partition push: buffer privately (only the single
-            // producer touches staged_) and defer the queue merge and
-            // wake update to drainStaged() after the cycle barrier.
-            pdr_assert(staged_.empty() ||
-                       staged_.back().ready <= ready);
-            staged_.push_back({ready, item});
+            // producer touches staged_) and defer the queue merge, wake
+            // update and calendar mark to drainStaged() after the cycle
+            // barrier.
+            pdr_assert(staged_->empty() ||
+                       staged_->back().ready <= ready);
+            staged_->push_back({ready, item});
             return;
         }
-        pdr_assert(q_.empty() || q_.back().ready <= ready);
-        q_.push_back({ready, item});
-        if (wake_ && ready < *wake_)
-            *wake_ = ready;
+        enqueue({ready, item});
     }
 
     /**
      * Enter/leave staged (cross-partition) mode.  Must be toggled
-     * between cycles, with the staging buffer drained.
+     * between cycles, with the staging buffer drained.  The buffer is
+     * allocated on first use and kept.
      */
     void
     setStaged(bool on)
     {
-        pdr_assert(staged_.empty());
+        pdr_assert(!staged_ || staged_->empty());
+        if (on && !staged_)
+            staged_ = std::make_unique<std::vector<Entry>>();
         staging_ = on;
     }
 
@@ -123,19 +154,17 @@ class Channel
 
     /**
      * Merge staged pushes into the live queue and apply their deferred
-     * wake-table updates.  Called by the consumer's worker after the
-     * phase barrier, so it never races the producer or consumer.
+     * wake-table updates and calendar marks.  Called by the consumer's
+     * worker after the phase barrier, so it never races the producer
+     * or consumer.
      */
     void
     drainStaged()
     {
-        for (const Entry &e : staged_) {
-            pdr_assert(q_.empty() || q_.back().ready <= e.ready);
-            q_.push_back(e);
-            if (wake_ && e.ready < *wake_)
-                *wake_ = e.ready;
-        }
-        staged_.clear();
+        pdr_assert(staged_);
+        for (const Entry &e : *staged_)
+            enqueue(e);
+        staged_->clear();
     }
 
     /** Pop the next item if it has arrived by cycle `now`. */
@@ -147,6 +176,20 @@ class Channel
         T item = q_.front().item;
         q_.pop_front();
         return item;
+    }
+
+    /**
+     * Mark the front item in flight in the attached calendar again.
+     * The consumer calls this after draining a channel whose bit it
+     * took from the calendar: the take cleared the slot, which an item
+     * more than one calendar turn away may share.  No-op when nothing
+     * is in flight or no calendar is attached.
+     */
+    void
+    remark()
+    {
+        if (cal_ && !q_.empty())
+            cal_->mark(q_.front().ready, calKind_, calBit_);
     }
 
     /** Items still in flight. */
@@ -162,10 +205,21 @@ class Channel
     }
 
     /**
+     * [AUD-ARRIVE] The front item in flight is marked in the attached
+     * calendar.  Vacuously true with nothing in flight or no calendar.
+     */
+    bool
+    frontMarked() const
+    {
+        return !cal_ || q_.empty() ||
+               cal_->marked(q_.front().ready, calKind_, calBit_);
+    }
+
+    /**
      * Visit every in-flight item as fn(ready, item), oldest first
      * (read-only; the invariant auditor counts queue contents with
-     * this).  Staged items are not visited: the auditor only runs on
-     * the serial path, where the staging buffer is empty.
+     * this).  Staged items are not visited: the auditor runs at cycle
+     * boundaries, where every staging buffer has been drained.
      */
     template <typename Fn>
     void
@@ -181,13 +235,30 @@ class Channel
         T item;
     };
 
+    /** Append to the live queue, lower the consumer's wake entry and
+     *  mark its calendar. */
+    void
+    enqueue(const Entry &e)
+    {
+        pdr_assert(q_.empty() || q_.back().ready <= e.ready);
+        q_.push_back(e);
+        if (wake_ && e.ready < *wake_)
+            *wake_ = e.ready;
+        if (cal_)
+            cal_->mark(e.ready, calKind_, calBit_);
+    }
+
     // Fields every push and pop touch come first; the cross-partition
-    // staging buffer, used only under partitioned stepping, comes last.
+    // staging buffer, used only under partitioned stepping, lives out
+    // of line behind the last field.
     Ring<Entry> q_;
-    Cycle *wake_ = nullptr;         //!< Consumer's wake-table entry.
+    Cycle *wake_ = nullptr;             //!< Consumer's wake-table entry.
+    ArrivalCalendar *cal_ = nullptr;    //!< Consumer's calendar.
+    std::uint64_t calBit_ = 0;          //!< Consumer's port bit.
     std::uint32_t latency_;
-    bool staging_ = false;          //!< Crosses a partition.
-    std::vector<Entry> staged_;     //!< Cross-partition buffer.
+    ArrivalCalendar::Kind calKind_ = ArrivalCalendar::Flit;
+    bool staging_ = false;              //!< Crosses a partition.
+    std::unique_ptr<std::vector<Entry>> staged_;  //!< Staging buffer.
 };
 
 static_assert(sizeof(Channel<std::uint32_t>) == 64,

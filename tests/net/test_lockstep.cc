@@ -140,6 +140,31 @@ TEST(LockstepTest, SlowCreditsFig18Shape)
     expectLockstep(cfg, 4000);
 }
 
+TEST(LockstepTest, MultiCycleLinks)
+{
+    // Flits spend 4 cycles between switch allocation and the next
+    // router (crossbar + 3-cycle wire), so several are in flight per
+    // link and the arrival calendar holds marks several slots ahead.
+    auto cfg = baseConfig(router::RouterModel::SpecVirtualChannel, 2, 4);
+    cfg.linkLatency = 3;
+    cfg.creditLatency = 2;
+    cfg.setOfferedFraction(0.4);
+    expectLockstep(cfg, 4000);
+}
+
+TEST(LockstepTest, LinksLongerThanOneCalendarTurn)
+{
+    // Flit (70 + 1) and credit (65) latencies past the 64-slot arrival
+    // calendar: every in-flight item's slot aliases an earlier cycle,
+    // so routers visit such channels early, pop nothing and re-mark
+    // the front item.  Those extra visits must change nothing.
+    auto cfg = baseConfig(router::RouterModel::SpecVirtualChannel, 2, 4);
+    cfg.linkLatency = 70;
+    cfg.creditLatency = 65;
+    cfg.setOfferedFraction(0.2);
+    expectLockstep(cfg, 5000);
+}
+
 TEST(LockstepTest, BurstyMmppArrivals)
 {
     // The MMPP state machine advances the RNG every cycle, so the

@@ -162,6 +162,28 @@ TEST(ParallelStepTest, ObliviousRoutingDrawsStayAligned)
     expectParallelLockstep(cfg, 4, par::Scheme::Planes, 2500);
 }
 
+TEST(ParallelStepTest, MultiCycleLinksMatchSerial)
+{
+    // Staged cross-partition items mark the consumer's arrival
+    // calendar at drain time, several slots ahead.
+    auto cfg = baseConfig();
+    cfg.linkLatency = 3;
+    cfg.creditLatency = 2;
+    cfg.setOfferedFraction(0.4);
+    expectParallelLockstep(cfg, 4, par::Scheme::Planes, 3000);
+}
+
+TEST(ParallelStepTest, LinksLongerThanOneCalendarTurnMatchSerial)
+{
+    // Past one 64-slot calendar turn, marks alias earlier cycles; a
+    // drained mark may then be seen by the consumer a turn early.
+    auto cfg = baseConfig();
+    cfg.linkLatency = 70;
+    cfg.creditLatency = 65;
+    cfg.setOfferedFraction(0.2);
+    expectParallelLockstep(cfg, 4, par::Scheme::Weighted, 4000);
+}
+
 TEST(ParallelStepTest, SampleBoundaryIsOrderExact)
 {
     // A tiny sample space on a big node set: the quota (50) runs out

@@ -7,8 +7,9 @@
  * prove the detector detects: a clean audited run passes (and runs a
  * nonzero number of checks, bit-identical to an unaudited run), a
  * deliberately corrupted wake-table entry trips [AUD-WAKE] on the next
- * step, and a flit allocated but never queued trips [AUD-LEAK] at
- * teardown.
+ * step -- serially and under partitioned stepping -- a dropped
+ * arrival-calendar mark trips [AUD-ARRIVE], and a flit allocated but
+ * never queued trips [AUD-LEAK] at teardown.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <string>
 
 #include "net/network.hh"
+#include "par/stepper.hh"
 #include "sim/audit.hh"
 
 using namespace pdr;
@@ -38,6 +40,32 @@ auditedConfig()
     cfg.seed = 7;
     cfg.audit = true;
     return cfg;
+}
+
+/**
+ * Corrupt one wake-table entry to simulate a component whose
+ * nextWake() over-sleeps -- the hazard class [AUD-WAKE] exists for.
+ * Router 0's injection channel gets traffic immediately at this load,
+ * so a wake planted far in the future contradicts an in-flight item
+ * within a few cycles.  `run(n)` steps `net` n cycles.
+ */
+template <typename Run>
+void
+expectPlantedWakeCaught(net::Network &net, Run run)
+{
+    run(20);  // Get traffic in flight.
+    net.setWakeAtForTest(net.rtrComp(0), net.now() + 100000);
+    try {
+        run(50);
+        FAIL() << "corrupted wake table not detected";
+    } catch (const sim::AuditError &e) {
+        EXPECT_NE(std::string(e.what()).find("AUD-WAKE"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("router 0"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace
@@ -98,25 +126,57 @@ TEST(Audit, AuditedRunIsBitIdenticalToUnaudited)
 
 TEST(Audit, CatchesBrokenNextWake)
 {
-    // Corrupt one wake-table entry to simulate a component whose
-    // nextWake() over-sleeps -- the hazard class [AUD-WAKE] exists
-    // for.  Router 0's injection channel gets traffic immediately at
-    // this load, so a wake planted far in the future contradicts an
-    // in-flight item within a few cycles.
     net::Network net(auditedConfig());
-    net.run(20);  // Get traffic in flight.
-    net.setWakeAtForTest(net.rtrComp(0), net.now() + 100000);
-    try {
-        net.run(50);
-        FAIL() << "corrupted wake table not detected";
-    } catch (const sim::AuditError &e) {
-        EXPECT_NE(std::string(e.what()).find("AUD-WAKE"),
-                  std::string::npos)
-            << e.what();
-        EXPECT_NE(std::string(e.what()).find("router 0"),
-                  std::string::npos)
-            << e.what();
+    expectPlantedWakeCaught(net, [&net](sim::Cycle n) { net.run(n); });
+}
+
+TEST(Audit, CatchesBrokenNextWakeUnderPartitionedStepping)
+{
+    // The stepper runs the per-cycle checks on worker 0 at its
+    // cycle-start safe point.
+    net::Network net(auditedConfig());
+    par::ParConfig pcfg;
+    pcfg.workers = 4;
+    pcfg.scheme = par::Scheme::Planes;
+    par::ParallelStepper stepper(net, pcfg);
+    ASSERT_EQ(stepper.workers(), 4);
+    expectPlantedWakeCaught(net,
+                            [&stepper](sim::Cycle n) { stepper.run(n); });
+}
+
+TEST(Audit, CatchesDroppedArrivalMark)
+{
+    // Clear the calendar slot holding a router's next flit arrival:
+    // the router still wakes for it (AUD-WAKE holds) but would never
+    // pop the channel, which [AUD-ARRIVE] reports before the tick.
+    net::Network net(auditedConfig());
+    net.run(20);
+    const auto &lat = net.lattice();
+    for (std::size_t i = 0; i < net.numFlitChans(); i++) {
+        const std::size_t comp = net.flitChanConsumer(i);
+        const sim::Cycle ready = net.flitChan(i).nextReady();
+        if (comp < net.rtrComp(0) ||
+            comp >= net.rtrComp(lat.numRouters()) ||
+            ready == sim::CycleNever) {
+            continue;
+        }
+        const sim::NodeId r = sim::NodeId(comp - net.rtrComp(0));
+        (void)net.routerAt(r).arrivalsForTest().take(ready);
+        try {
+            net.step();
+            FAIL() << "dropped arrival mark not detected";
+        } catch (const sim::AuditError &e) {
+            EXPECT_NE(std::string(e.what()).find("AUD-ARRIVE"),
+                      std::string::npos)
+                << e.what();
+            EXPECT_NE(std::string(e.what()).find(
+                          net.componentName(comp) + ":"),
+                      std::string::npos)
+                << e.what();
+        }
+        return;
     }
+    FAIL() << "no flit in flight toward a router";
 }
 
 TEST(Audit, CatchesLeakedFlit)

@@ -1,11 +1,13 @@
-/** @file Tests for the fixed-latency channel (delay line) and the ring
- *  queue it keeps its in-flight items in. */
+/** @file Tests for the fixed-latency channel (delay line), the ring
+ *  queue it keeps its in-flight items in, and the arrival calendar its
+ *  consumer reads due channels from. */
 
 #include <gtest/gtest.h>
 
 #include <utility>
 #include <vector>
 
+#include "sim/calendar.hh"
 #include "sim/channel.hh"
 #include "sim/ring.hh"
 
@@ -214,4 +216,117 @@ TEST(ChannelTest, ForEachInFlightVisitsOldestFirst)
         EXPECT_EQ(seen[i].second, int(i) + 2);
         EXPECT_EQ(seen[i].first, Cycle(i + 2 + 4));
     }
+}
+
+TEST(ChannelCalendarTest, PushMarksTheReadySlot)
+{
+    ArrivalCalendar cal;
+    Channel<int> flits(3), credits(2);
+    flits.attach(&cal, ArrivalCalendar::Flit, 4);
+    credits.attach(&cal, ArrivalCalendar::Credit, 1);
+    flits.push(1, 10);          // Ready 13.
+    credits.push(2, 10, 1);     // Ready 13.
+    credits.push(3, 11, 1);     // Ready 14.
+    EXPECT_TRUE(flits.frontMarked());
+    EXPECT_TRUE(credits.frontMarked());
+    EXPECT_EQ(cal.next(11), Cycle(13));
+    const auto early = cal.take(12);
+    EXPECT_EQ(early.flit | early.credit, 0u);
+    const auto due = cal.take(13);
+    EXPECT_EQ(due.flit, std::uint64_t(1) << 4);
+    EXPECT_EQ(due.credit, std::uint64_t(1) << 1);
+    EXPECT_EQ(*flits.pop(13), 1);
+    EXPECT_EQ(*credits.pop(13), 2);
+    EXPECT_EQ(cal.next(14), Cycle(14));
+    EXPECT_EQ(cal.take(14).credit, std::uint64_t(1) << 1);
+    EXPECT_TRUE(cal.empty());
+    EXPECT_EQ(cal.next(15), CycleNever);
+}
+
+TEST(ChannelCalendarTest, DrainStagedMarksTheReadySlot)
+{
+    ArrivalCalendar cal;
+    Channel<int> c(2);
+    c.attach(&cal, ArrivalCalendar::Flit, 0);
+    c.setStaged(true);
+    c.push(7, 5);               // Staged: ready 7.
+    c.push(8, 6);               // Staged: ready 8.
+    // The mark travels with the item: nothing until the drain.
+    EXPECT_TRUE(cal.empty());
+    c.drainStaged();
+    EXPECT_TRUE(c.frontMarked());
+    EXPECT_EQ(cal.next(6), Cycle(7));
+    EXPECT_EQ(cal.take(7).flit, 1u);
+    EXPECT_EQ(*c.pop(7), 7);
+    EXPECT_EQ(cal.take(8).flit, 1u);
+    EXPECT_EQ(*c.pop(8), 8);
+    EXPECT_TRUE(cal.empty());
+}
+
+TEST(ChannelCalendarTest, RemarkCarriesItemsPastOneCalendarTurn)
+{
+    // Latency 70 is more than the 64 slots: an item's slot also stands
+    // for the cycle 64 earlier, and one slot holds the marks of items
+    // 64 cycles apart.  A consumer that ticks only when its wake entry
+    // or its calendar says so, pops only marked channels, and re-marks
+    // after each visit must still pop every item on its ready cycle.
+    const Cycle lat = ArrivalCalendar::kSlots + 6;
+    std::vector<Cycle> wake(1, CycleNever);
+    ArrivalCalendar cal;
+    Channel<int> c(lat);
+    c.watch(&wake, 0);
+    c.attach(&cal, ArrivalCalendar::Credit, 3);
+
+    // The producer acts first in each cycle, so the second burst's
+    // marks are visible to the consumer while it drains the first one:
+    // they alias cycles 81..90 and wake it early.
+    auto pushes = [](Cycle t) { return t < 10 || (t >= 75 && t < 85); };
+    int popped = 0, visits = 0, idle_visits = 0;
+    for (Cycle now = 0; now < 300; now++) {
+        if (pushes(now))
+            c.push(int(now), now);
+        if (wake[0] <= now) {
+            const auto due = cal.take(now);
+            if (due.credit & (1u << 3)) {
+                visits++;
+                bool got = false;
+                while (auto v = c.pop(now)) {
+                    EXPECT_EQ(Cycle(*v) + lat, now);
+                    popped++;
+                    got = true;
+                }
+                idle_visits += got ? 0 : 1;
+                c.remark();
+            }
+            EXPECT_TRUE(c.frontMarked()) << "cycle " << now;
+            wake[0] = cal.next(now + 1);
+        }
+    }
+    EXPECT_EQ(popped, 20);
+    EXPECT_TRUE(c.empty());
+    EXPECT_TRUE(cal.empty());
+    // The aliased slots were visited early at least once.
+    EXPECT_GT(idle_visits, 0);
+    EXPECT_EQ(visits - idle_visits, popped);
+}
+
+TEST(ChannelCalendarTest, UnattachedChannelMarksNothing)
+{
+    // Sources and sinks read their one channel through pop() and
+    // nextReady(); such a channel leaves every calendar untouched.
+    ArrivalCalendar cal;
+    Channel<int> attached(1), plain(1);
+    attached.attach(&cal, ArrivalCalendar::Flit, 2);
+    plain.push(1, 0);
+    plain.setStaged(true);
+    plain.push(2, 1);
+    plain.drainStaged();
+    plain.setStaged(false);
+    plain.remark();
+    EXPECT_TRUE(cal.empty());
+    EXPECT_TRUE(plain.frontMarked());   // Nothing to mark: vacuous.
+    EXPECT_EQ(*plain.pop(1), 1);
+    EXPECT_EQ(*plain.pop(2), 2);
+    attached.push(3, 0);
+    EXPECT_FALSE(cal.empty());
 }

@@ -303,9 +303,8 @@ const char *kTinySweep =
     "--router.buf_depth=4 --sim.warmup=200 --sim.sample_packets=300 "
     "--sweep.loads=0.1,0.2,0.3,0.4";
 
-/** The CSV portion of a sweep's output (stderr summary and warn
- *  diagnostics dropped -- e.g. PDR_AUDIT=1 warns once per simulation
- *  when par.workers > 1 bypasses the per-cycle checks). */
+/** The CSV portion of a sweep's output (stderr summary, merge lines
+ *  and warn diagnostics dropped). */
 std::string
 csvOf(const CmdResult &res)
 {
