@@ -294,7 +294,8 @@ defs()
                  int(parseInt("router.buf_depth", v, 1, 1 << 20));
          }},
         {"router.credit_proc",
-         "cycles from credit arrival to usability; -1 = pipeline depth",
+         "cycles from credit arrival to usability, added to the credit "
+         "channel's latency; -1 = default (0)",
          [](const SimConfig &c) {
              return std::to_string(c.net.router.creditProcCycles);
          },
@@ -357,8 +358,8 @@ defs()
         {"sim.audit",
          "run the per-cycle invariant auditor (wake-table and "
          "arrival-calendar exactness, credit conservation, allocation "
-         "bitsets, flit-pool leaks) at any par.workers; PDR_AUDIT=1 "
-         "also enables it",
+         "bitsets, speculation-only spans, flit-pool leaks) at any "
+         "par.workers; PDR_AUDIT=1 also enables it",
          [](const SimConfig &c) {
              return std::string(c.net.audit ? "true" : "false");
          },

@@ -31,6 +31,8 @@
 #ifndef PDR_ARB_MATRIX_ARBITER_HH
 #define PDR_ARB_MATRIX_ARBITER_HH
 
+#include <algorithm>
+
 #include "arb/arbiter.hh"
 #include "arb/bitrow.hh"
 #include "common/logging.hh"
@@ -196,6 +198,17 @@ class MatrixArbiterSlab
 
     /** Every arbiter's MatrixArbiter::dumpState, in index order. */
     void dumpState(std::vector<std::uint8_t> &out) const;
+
+    /** Every arbiter's packed rows, in index order (count() * size()
+     *  * words() words): the whole priority state, for snapshots. */
+    const std::vector<std::uint64_t> &rows() const { return rows_; }
+
+    /** Restore every row from a rows() snapshot of this slab. */
+    void
+    loadRows(const std::uint64_t *src)
+    {
+        std::copy(src, src + rows_.size(), rows_.begin());
+    }
 
   private:
     const std::uint64_t *

@@ -1,8 +1,96 @@
 #include "arb/switch_allocator.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace pdr::arb {
+
+std::uint64_t
+SwitchAllocatorBase::replay(const std::vector<SaRequest> &requests,
+                            std::uint64_t n)
+{
+    std::uint64_t grants = 0;
+    for (std::uint64_t i = 0; i < n; i++)
+        grants += allocate(requests).size();
+    return grants;
+}
+
+namespace {
+
+/** Snapshot words kept while looking for a repeat (128 KiB); past it
+ *  replayRows makes the remaining rounds one by one. */
+constexpr std::size_t kReplayHistoryWords = std::size_t(1) << 14;
+
+/** Per-thread replay history: states[i * words, (i + 1) * words) is
+ *  the state after i rounds, grants[i] the grants of round i. */
+struct ReplayHistory
+{
+    std::vector<std::uint64_t> states;
+    std::vector<std::uint64_t> grants;
+};
+
+/**
+ * Shared replay of the bitmask allocators: `a` offers allocate(),
+ * saveRows() and loadRows().  Round i's grants and next state depend
+ * only on state i (the request vector is fixed), so when state i + 1
+ * equals an earlier state j, rounds j..i repeat forever with period
+ * i + 1 - j.  The rounds left are then whole periods plus a partial
+ * one, and the state they end in is the recorded state j + partial.
+ * The states are compared word by word, newest first: a short period
+ * is the common case (one blocked bid repeats a fixed point).
+ */
+template <typename Alloc>
+std::uint64_t
+replayRows(Alloc &a, const std::vector<SaRequest> &requests,
+           std::uint64_t n)
+{
+    std::uint64_t total = 0;
+    if (n <= 2) {
+        // No repeat could save a round.
+        for (std::uint64_t i = 0; i < n; i++)
+            total += a.allocate(requests).size();
+        return total;
+    }
+    thread_local ReplayHistory h;
+    h.states.clear();
+    h.grants.clear();
+    a.saveRows(h.states);
+    const std::size_t words = h.states.size();
+
+    for (std::uint64_t i = 0;; i++) {
+        const std::uint64_t g = a.allocate(requests).size();
+        total += g;
+        if (i + 1 == n)
+            return total;
+        if (h.states.size() + words > kReplayHistoryWords) {
+            // No repeat within the history budget: plain rounds.
+            for (std::uint64_t k = i + 1; k < n; k++)
+                total += a.allocate(requests).size();
+            return total;
+        }
+        h.grants.push_back(g);
+        a.saveRows(h.states);
+        const std::uint64_t *cur = &h.states[(i + 1) * words];
+        for (std::uint64_t j = i + 1; j-- > 0;) {
+            if (!std::equal(cur, cur + words, &h.states[j * words]))
+                continue;
+            const std::uint64_t period = i + 1 - j;
+            const std::uint64_t left = n - (i + 1);
+            std::uint64_t per_period = 0;
+            for (std::uint64_t k = j; k <= i; k++)
+                per_period += h.grants[k];
+            const std::uint64_t part = left % period;
+            total += (left / period) * per_period;
+            for (std::uint64_t k = 0; k < part; k++)
+                total += h.grants[j + k];
+            a.loadRows(&h.states[(j + part) * words]);
+            return total;
+        }
+    }
+}
+
+} // namespace
 
 WormholeSwitchArbiter::WormholeSwitchArbiter(int p)
     : p_(p), outputArb_(p, p)
@@ -111,11 +199,34 @@ SeparableSwitchAllocator::resolve(std::uint64_t in_mask, bool spec,
     }
 }
 
+std::uint64_t
+SeparableSwitchAllocator::replay(const std::vector<SaRequest> &requests,
+                                 std::uint64_t n)
+{
+    return replayRows(*this, requests, n);
+}
+
 void
 SeparableSwitchAllocator::dumpState(std::vector<std::uint8_t> &out) const
 {
     inputArb_.dumpState(out);
     outputArb_.dumpState(out);
+}
+
+void
+SeparableSwitchAllocator::saveRows(std::vector<std::uint64_t> &out) const
+{
+    out.insert(out.end(), inputArb_.rows().begin(),
+               inputArb_.rows().end());
+    out.insert(out.end(), outputArb_.rows().begin(),
+               outputArb_.rows().end());
+}
+
+void
+SeparableSwitchAllocator::loadRows(const std::uint64_t *src)
+{
+    inputArb_.loadRows(src);
+    outputArb_.loadRows(src + inputArb_.rows().size());
 }
 
 SpeculativeSwitchAllocator::SpeculativeSwitchAllocator(int p, int v)
@@ -153,11 +264,40 @@ SpeculativeSwitchAllocator::allocate(const std::vector<SaRequest> &requests)
     return grants_;
 }
 
+std::uint64_t
+SpeculativeSwitchAllocator::replay(const std::vector<SaRequest> &requests,
+                                   std::uint64_t n)
+{
+    // With bids of one kind only, the other allocator is idle and
+    // nothing is killed: the rounds are exactly that allocator's own
+    // (a router's speculation-only stall is all speculative).
+    bool spec = false, nonspec = false;
+    for (const auto &r : requests)
+        (r.spec ? spec : nonspec) = true;
+    if (spec && nonspec)
+        return replayRows(*this, requests, n);
+    return (spec ? spec_ : nonspec_).replay(requests, n);
+}
+
 void
 SpeculativeSwitchAllocator::dumpState(std::vector<std::uint8_t> &out) const
 {
     nonspec_.dumpState(out);
     spec_.dumpState(out);
+}
+
+void
+SpeculativeSwitchAllocator::saveRows(std::vector<std::uint64_t> &out) const
+{
+    nonspec_.saveRows(out);
+    spec_.saveRows(out);
+}
+
+void
+SpeculativeSwitchAllocator::loadRows(const std::uint64_t *src)
+{
+    nonspec_.loadRows(src);
+    spec_.loadRows(src + nonspec_.rowWords());
 }
 
 } // namespace pdr::arb

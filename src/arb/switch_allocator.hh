@@ -27,9 +27,22 @@
  * one request vector it is given in a single scan, each request into
  * the separable allocator of its kind, skips a pass with no requests,
  * and appends both passes' grants to one result vector; its kill test
- * is two mask intersections.  The previous dense implementations are
- * retained verbatim as the test oracle in tests/arb/: grants and
- * priority evolution are bit-identical (tests/arb/test_alloc_equiv.cc).
+ * is two mask intersections.
+ *
+ * replay(requests, n) runs n rounds of one unchanged request vector.
+ * Each round's state is a function of the previous round's packed
+ * priority rows alone, so the sequence of states must repeat: after mu
+ * rounds it enters a cycle of lambda states.  The bitmask allocators
+ * snapshot the rows after every round, stop at the first repeat, and
+ * account the remaining rounds from the recorded per-round grant
+ * counts, so replay costs mu + lambda rounds instead of n.  The
+ * speculative allocator replays a vector of one kind of bid on the
+ * separable allocator of that kind, which is then the only one
+ * working.
+ *
+ * The previous dense implementations are retained verbatim as the test
+ * oracle in tests/arb/: grants and priority evolution are bit-identical
+ * (tests/arb/test_alloc_equiv.cc).
  */
 
 #ifndef PDR_ARB_SWITCH_ALLOCATOR_HH
@@ -98,6 +111,18 @@ class SwitchAllocatorBase
     virtual const std::vector<SaGrant> &
     allocate(const std::vector<SaRequest> &requests) = 0;
 
+    /**
+     * `n` rounds of allocate(requests) with one unchanged request
+     * vector: returns the total grants over the rounds and leaves
+     * exactly the priority state the n calls would.  A router replays
+     * the failed bids of a speculation-only stall with it
+     * (Router::nextWake).  This default makes the n calls, so any
+     * implementation (the tests' scalar oracle too) replays exactly;
+     * the bitmask allocators override it with a jump ahead.
+     */
+    virtual std::uint64_t replay(const std::vector<SaRequest> &requests,
+                                 std::uint64_t n);
+
     /** Append all arbiter priority state (equivalence tests). */
     virtual void dumpState(std::vector<std::uint8_t> &out) const = 0;
 };
@@ -134,7 +159,23 @@ class SeparableSwitchAllocator : public SwitchAllocatorBase
     const std::vector<SaGrant> &
     allocate(const std::vector<SaRequest> &requests) override;
 
+    /** Jump-ahead replay (replayRows in switch_allocator.cc). */
+    std::uint64_t replay(const std::vector<SaRequest> &requests,
+                         std::uint64_t n) override;
+
     void dumpState(std::vector<std::uint8_t> &out) const override;
+
+    /** Append the packed priority rows of both stages: the whole
+     *  state that evolves from round to round. */
+    void saveRows(std::vector<std::uint64_t> &out) const;
+    /** Restore a saveRows() snapshot of this allocator. */
+    void loadRows(const std::uint64_t *src);
+    /** Words saveRows() appends. */
+    std::size_t
+    rowWords() const
+    {
+        return inputArb_.rows().size() + outputArb_.rows().size();
+    }
 
     int numPorts() const { return p_; }
     int numVcs() const { return v_; }
@@ -196,7 +237,16 @@ class SpeculativeSwitchAllocator : public SwitchAllocatorBase
     const std::vector<SaGrant> &
     allocate(const std::vector<SaRequest> &requests) override;
 
+    /** Jump-ahead replay (replayRows in switch_allocator.cc). */
+    std::uint64_t replay(const std::vector<SaRequest> &requests,
+                         std::uint64_t n) override;
+
     void dumpState(std::vector<std::uint8_t> &out) const override;
+
+    /** Both separable allocators' saveRows(), non-speculative first. */
+    void saveRows(std::vector<std::uint64_t> &out) const;
+    /** Restore a saveRows() snapshot of this allocator. */
+    void loadRows(const std::uint64_t *src);
 
   private:
     SeparableSwitchAllocator nonspec_;

@@ -139,7 +139,11 @@ Network::Network(const NetworkConfig &cfg)
     // Inter-router links: one flit channel and one reverse credit
     // channel per directed edge (wrap links included on a torus).
     // Ports [0, dims) are the plus directions, so every undirected
-    // edge is visited exactly once.
+    // edge is visited exactly once.  A credit is usable the cycle it
+    // leaves its channel, so the receiving router's credit processing
+    // is part of the channel's latency.
+    const sim::Cycle credit_latency =
+        cfg_.creditLatency + sim::Cycle(cfg_.router.effectiveCreditProc());
     for (sim::NodeId id = 0; id < routers; id++) {
         for (int port = 0; port < dims; port++) {
             sim::NodeId nb = mesh_.neighbor(id, port);
@@ -150,7 +154,7 @@ Network::Network(const NetworkConfig &cfg)
             // id --(port)--> nb
             auto *f1 = newFlitChan(cfg_.linkLatency, rtrComp(id),
                                    rtrComp(nb));
-            auto *c1 = newCreditChan(cfg_.creditLatency, rtrComp(nb),
+            auto *c1 = newCreditChan(credit_latency, rtrComp(nb),
                                      rtrComp(id));
             routers_[id].connectOutput(port, f1, c1, false);
             routers_[nb].connectInput(rport, f1, c1);
@@ -163,7 +167,7 @@ Network::Network(const NetworkConfig &cfg)
             // nb --(rport)--> id
             auto *f2 = newFlitChan(cfg_.linkLatency, rtrComp(nb),
                                    rtrComp(id));
-            auto *c2 = newCreditChan(cfg_.creditLatency, rtrComp(id),
+            auto *c2 = newCreditChan(credit_latency, rtrComp(id),
                                      rtrComp(nb));
             routers_[nb].connectOutput(rport, f2, c2, false);
             routers_[id].connectInput(port, f2, c2);
@@ -193,8 +197,10 @@ Network::Network(const NetworkConfig &cfg)
         sim::NodeId r = mesh_.routerOf(node);
         int lport = mesh_.localPort(mesh_.localIndexOf(node));
 
+        // One cycle on the wire and one in the source's credit
+        // pipeline (Source::applyCredits).
         auto *inj = newFlitChan(1, srcComp(node), rtrComp(r));
-        auto *inj_credit = newCreditChan(1, rtrComp(r), srcComp(node));
+        auto *inj_credit = newCreditChan(2, rtrComp(r), srcComp(node));
         routers_[r].connectInput(lport, inj, inj_credit);
         sources_.emplace_back(node, scfg, *pattern_, ctrl_, pool_, inj,
                               inj_credit);
@@ -408,23 +414,19 @@ Network::auditCycle()
     }
 
     // [AUD-CREDIT] Conservation: for every link and VC, buffer slots
-    // are split between usable upstream credits, credits maturing in
-    // the upstream pipeline, credits on the wire, flits buffered in
-    // the downstream FIFO and flits on the wire.  Every transition
-    // moves a slot between buckets within one tick, so at every cycle
-    // boundary the sum is exactly the configured buffer depth.
+    // are split between usable upstream credits, credits on the wire
+    // (which includes the upstream credit pipeline, part of the credit
+    // channel's latency), flits buffered in the downstream FIFO and
+    // flits on the wire.  Every transition moves a slot between
+    // buckets within one tick, so at every cycle boundary the sum is
+    // exactly the configured buffer depth.
     const int depth = cfg_.router.bufDepth;
     for (const AuditLink &l : auditLinks_) {
         for (int v = 0; v < cfg_.router.numVcs; v++) {
-            int held, maturing;
-            if (l.upRouter != sim::Invalid) {
-                held = routers_[l.upRouter].credits(l.outPort, v);
-                maturing = routers_[l.upRouter].auditPendingCredits(
-                    l.outPort, v);
-            } else {
-                held = sources_[l.upNode].auditCredits(v);
-                maturing = sources_[l.upNode].auditPendingCredits(v);
-            }
+            const int held =
+                l.upRouter != sim::Invalid
+                    ? routers_[l.upRouter].credits(l.outPort, v)
+                    : sources_[l.upNode].auditCredits(v);
             int wire_credits = 0;
             creditChans_[l.creditChan].forEachInFlight(
                 [&](sim::Cycle, const sim::Credit &c) {
@@ -440,8 +442,7 @@ Network::auditCycle()
             int buffered =
                 routers_[l.downRouter].auditBuffered(l.inPort, v);
             checks++;
-            int sum =
-                held + maturing + wire_credits + wire_flits + buffered;
+            int sum = held + wire_credits + wire_flits + buffered;
             if (sum != depth) {
                 std::string up =
                     l.upRouter != sim::Invalid
@@ -451,10 +452,10 @@ Network::auditCycle()
                 auditor_->fail(
                     now_, up, "AUD-CREDIT",
                     csprintf("VC %d toward router %d port %d: held %d "
-                             "+ maturing %d + credits on wire %d + "
-                             "flits on wire %d + buffered %d = %d, "
-                             "expected buffer depth %d",
-                             v, l.downRouter, l.inPort, held, maturing,
+                             "+ credits on wire %d + flits on wire %d "
+                             "+ buffered %d = %d, expected buffer "
+                             "depth %d",
+                             v, l.downRouter, l.inPort, held,
                              wire_credits, wire_flits, buffered, sum,
                              depth));
             }
@@ -473,6 +474,26 @@ Network::auditCycle()
         if (!diag.empty()) {
             auditor_->fail(now_, csprintf("router %zu", i), "AUD-BID",
                            diag);
+        }
+    }
+
+    // [AUD-SPEC] Speculation-only spans: a router asleep through this
+    // cycle with a span open must have nothing to do but repeat its
+    // frozen failed bids, and those bids must be exactly its ready
+    // RouteWait heads, or the replay at its next tick would settle
+    // rounds that differ from the ones per-cycle ticking runs.
+    if (!forceTickAll_) {
+        for (std::size_t i = 0; i < routers_.size(); i++) {
+            if (!routers_[i].specSpanOpen() ||
+                wakeAt_[rtrComp(sim::NodeId(i))] <= now_) {
+                continue;
+            }
+            checks++;
+            std::string diag = routers_[i].auditSpecSpan(now_);
+            if (!diag.empty()) {
+                auditor_->fail(now_, csprintf("router %zu", i),
+                               "AUD-SPEC", diag);
+            }
         }
     }
 

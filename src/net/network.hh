@@ -376,9 +376,11 @@ class Network
      * item is marked in its consumer's arrival calendar;
      * [AUD-CREDIT] every link VC conserves its buffer depth;
      * [AUD-BID] every router's allocation bitsets match a dense
-     * recompute.  step() calls it; the parallel stepper calls it on
-     * worker 0 while the gang is parked with every staging buffer
-     * drained.  Requires auditEnabled().
+     * recompute; [AUD-SPEC] every sleeping router with a
+     * speculation-only span open has nothing else to do, and its
+     * frozen bids are its ready heads.  step() calls it; the parallel
+     * stepper calls it on worker 0 while the gang is parked with every
+     * staging buffer drained.  Requires auditEnabled().
      */
     void auditCycle();
 
@@ -411,6 +413,9 @@ class Network
     {
         wakeAt_[comp] = t;
     }
+
+    /** Wake-table entry of component `comp` (diagnostics, tests). */
+    sim::Cycle wakeAt(std::size_t comp) const { return wakeAt_[comp]; }
 
   private:
     NetworkConfig cfg_;

@@ -235,10 +235,11 @@ ParallelStepper::runSlice(int w)
 void
 ParallelStepper::drainSlice(int w)
 {
+    const sim::Cycle now = net_.now();
     for (auto *c : flitDrain_[std::size_t(w)])
-        c->drainStaged();
+        c->drainStaged(now);
     for (auto *c : creditDrain_[std::size_t(w)])
-        c->drainStaged();
+        c->drainStaged(now);
     if (w == 0 && boundTrace_) {
         // Concatenating the shards in worker order reproduces the
         // serial ejection order: blocks are ascending node ranges and

@@ -19,7 +19,9 @@
  * (Figure 16 / Section 5.2: 4 cycles for WH and specVC, 5 for VC, 2 for
  * the single-cycle model) emerge structurally from the pipeline position
  * of switch allocation; creditProcCycles > 0 models an additional credit
- * pipeline for ablation studies.
+ * pipeline for ablation studies.  Network adds it to the latency of
+ * every inter-router credit channel, so a router applies each credit
+ * the cycle it leaves the channel.
  */
 
 #ifndef PDR_ROUTER_CONFIG_HH

@@ -59,7 +59,6 @@ Router::Router(sim::NodeId id, const RouterConfig &cfg,
     specBids_ = cfg_.model == RouterModel::SpecVirtualChannel &&
                 !cfg_.singleCycle;
     adaptive_ = routing_.isAdaptive();
-    creditProc_ = cfg_.effectiveCreditProc();
 }
 
 void
@@ -120,17 +119,6 @@ Router::buffered(int port) const
     return n;
 }
 
-int
-Router::auditPendingCredits(int out_port, int out_vc) const
-{
-    int n = 0;
-    pendingCredits_.forEach([&](const PendingCredit &pc) {
-        if (pc.port == out_port && pc.vc == out_vc)
-            n++;
-    });
-    return n;
-}
-
 void
 Router::auditCollectFlits(std::vector<sim::FlitRef> &out) const
 {
@@ -183,6 +171,58 @@ Router::auditBidState() const
                     (unsigned long long)outFree_[port],
                     (unsigned long long)expect);
             }
+        }
+    }
+    return std::string();
+}
+
+std::string
+Router::auditSpecSpan(sim::Cycle now) const
+{
+    if (span_.from == sim::CycleNever)
+        return std::string();
+    const int v = cfg_.numVcs;
+    // The frozen bids are every ready RouteWait head, in vidx order,
+    // and none of them can win VA.
+    std::size_t k = 0;
+    for (int vi = 0; vi < cfg_.numPorts * v; vi++) {
+        if (!arb::testBit(bidRouteWait_.data(), vi))
+            continue;
+        const InputVc &ivc = invcs_[std::size_t(vi)];
+        if (ivc.actReady > now)
+            continue;
+        if (std::uint64_t(ivc.vcMask) & outFree_[ivc.route]) {
+            return csprintf(
+                "span open since cycle %llu, but the head of (port %d, "
+                "vc %d) can win a free output VC on port %d",
+                (unsigned long long)span_.from, vi / v, vi % v,
+                ivc.route);
+        }
+        if (k >= span_.reqs.size() || span_.reqs[k].inPort != vi / v ||
+            span_.reqs[k].inVc != vi % v ||
+            span_.reqs[k].outPort != ivc.route || !span_.reqs[k].spec) {
+            return csprintf(
+                "frozen bid %zu of %zu is not the ready head of (port "
+                "%d, vc %d) bidding for port %d", k, span_.reqs.size(),
+                vi / v, vi % v, ivc.route);
+        }
+        k++;
+    }
+    if (k != span_.reqs.size()) {
+        return csprintf("%zu frozen bids, but only %zu ready heads",
+                        span_.reqs.size(), k);
+    }
+    // No Active VC may be able to request the switch.
+    for (int vi = 0; vi < cfg_.numPorts * v; vi++) {
+        if (!arb::testBit(bidActive_.data(), vi))
+            continue;
+        const InputVc &ivc = invcs_[std::size_t(vi)];
+        if (now >= ivc.fifo.frontEligible() && now >= ivc.saReady &&
+            hasCredit(ivc.route, ivc.outVc)) {
+            return csprintf(
+                "span open since cycle %llu, but Active (port %d, vc "
+                "%d) can request port %d", (unsigned long long)span_.from,
+                vi / v, vi % v, ivc.route);
         }
     }
     return std::string();
@@ -268,10 +308,17 @@ Router::tick(sim::Cycle now)
             std::uint64_t(bufferedNow_) * (now - occObsAt_);
         occObsAt_ = now;
     }
-    // The calendar slot for `now` names every channel with an arrival
-    // this cycle (every item is consumed on its exact ready cycle).
+    // The skipped rounds of a speculation-only span happen before
+    // anything this tick does.
+    if (span_.from != sim::CycleNever)
+        closeSpan(now);
+    // With the far channels re-marked, the calendar slot for `now`
+    // names every channel with an arrival this cycle (every item is
+    // consumed on its exact ready cycle).
+    if (cal_.hasFar())
+        remarkFar(now);
     const sim::ArrivalCalendar::Due due = cal_.take(now);
-    if (due.credit || !pendingCredits_.empty())
+    if (due.credit)
         receiveCredits(now, due.credit);
     if (due.flit)
         receiveFlits(now, due.flit);
@@ -284,37 +331,70 @@ Router::tick(sim::Cycle now)
 }
 
 void
+Router::closeSpan(sim::Cycle now)
+{
+    settleSpan(now);
+    stats_.specSaAttempts += span_.attempts;
+    stats_.specSaWins += span_.wins;
+    span_.attempts = 0;
+    span_.wins = 0;
+    span_.from = sim::CycleNever;
+}
+
+void
+Router::settleSpan(sim::Cycle now) const
+{
+    if (span_.from == sim::CycleNever || now <= span_.from)
+        return;
+    // Each skipped cycle would have bid every frozen request (vaPhase)
+    // and run one switch allocation over them alone (saPhaseVc); every
+    // grant is speculative and discarded for want of an output VC.
+    const std::uint64_t n = now - span_.from;
+    arb::SwitchAllocatorBase &sa = specAlloc_ ? *specAlloc_ : *saAlloc_;
+    span_.attempts += n * span_.reqs.size();
+    span_.wins += sa.replay(span_.reqs, n);
+    span_.from = now;
+}
+
+void
+Router::remarkFar(sim::Cycle now)
+{
+    const sim::ArrivalCalendar::Due far = cal_.takeFar();
+    for (std::uint64_t m = far.credit; m; m &= m - 1)
+        outputs_[arb::ctz64(m)].creditIn->remark(now);
+    for (std::uint64_t m = far.flit; m; m &= m - 1)
+        inputs_[arb::ctz64(m)].in->remark(now);
+}
+
+sim::Cycle
+Router::farReady() const
+{
+    const sim::ArrivalCalendar::Due far = cal_.far();
+    sim::Cycle t = sim::CycleNever;
+    for (std::uint64_t m = far.credit; m; m &= m - 1)
+        t = std::min(t, outputs_[arb::ctz64(m)].creditIn->nextReady());
+    for (std::uint64_t m = far.flit; m; m &= m - 1)
+        t = std::min(t, inputs_[arb::ctz64(m)].in->nextReady());
+    return t;
+}
+
+void
 Router::receiveCredits(sim::Cycle now, std::uint64_t ports)
 {
-    // Accept newly arrived credits into the processing pipeline first,
-    // in ascending port order.  With proc == 0 a credit is usable by
-    // this very cycle's allocation, so it is applied on arrival and
-    // never queued.
+    // A credit is usable by this very cycle's allocation (any
+    // processing delay is part of the channel's latency), in ascending
+    // port order.
     while (ports) {
         const int port = arb::ctz64(ports);
         ports &= ports - 1;
         auto *chan = outputs_[port].creditIn;
         while (auto c = chan->pop(now)) {
             pdr_assert(c->vc >= 0 && c->vc < cfg_.numVcs);
-            if (creditProc_ == 0) {
-                int &credits = outCredits_[vidx(port, c->vc)];
-                credits++;
-                pdr_assert(credits <= cfg_.bufDepth);
-            } else {
-                pendingCredits_.push_back(
-                    {now + sim::Cycle(creditProc_), port, c->vc});
-            }
+            int &credits = outCredits_[vidx(port, c->vc)];
+            credits++;
+            pdr_assert(credits <= cfg_.bufDepth);
         }
-        chan->remark();
-    }
-
-    // Apply credits that finished the processing pipeline.
-    while (!pendingCredits_.empty() &&
-           pendingCredits_.front().applyAt <= now) {
-        const auto &pc = pendingCredits_.front();
-        outCredits_[vidx(pc.port, pc.vc)]++;
-        pdr_assert(outCredits_[vidx(pc.port, pc.vc)] <= cfg_.bufDepth);
-        pendingCredits_.pop_front();
+        chan->remark(now);
     }
 }
 
@@ -345,7 +425,7 @@ Router::receiveFlits(sim::Cycle now, std::uint64_t ports)
             syncBid(vidx(port, f.vc));
             stats_.flitsIn++;
         }
-        chan->remark();
+        chan->remark(now);
     }
 }
 
@@ -607,7 +687,23 @@ Router::nextWake(sim::Cycle now)
     // function is re-evaluated) or arrives on a watched channel (which
     // lowers our wake entry on push).
     sim::Cycle t = sim::CycleNever;
+    // The next arrival, marked in the calendar or held as over a turn
+    // away, read when first needed (0 until then: an arrival is after
+    // `now`).
+    sim::Cycle arrival = 0;
+    auto nextArrival = [&]() {
+        if (arrival == 0) {
+            arrival = cal_.next(now + 1);
+            if (cal_.hasFar())
+                arrival = std::min(arrival, farReady());
+        }
+        return arrival;
+    };
     const bool wh = cfg_.model == RouterModel::Wormhole;
+    const int v = cfg_.numVcs;
+    // Ready heads whose only possible action is a failed speculative
+    // switch bid, in vidx order (the bids vaPhase would issue).
+    span_.reqs.clear();
     // The union of the bid bitsets is exactly the occupied, actionable
     // VCs (RouteWait implies a buffered head; Active VCs with drained
     // FIFOs are excluded).
@@ -646,15 +742,25 @@ Router::nextWake(sim::Cycle now)
                     t = std::min(t, ivc.actReady);
                     return false;
                 }
-                if (specBids_)
-                    return true;        // Bids the switch per cycle.
-                // Pure VA pipeline: the allocator's persistent
-                // state only changes on grants, and a grant needs
-                // a free candidate output VC.  All-busy candidates
-                // free only during our own ticks (tail
-                // departures), so such a VC does not pin us awake.
+                // The VA allocator's persistent state only changes on
+                // grants, and a grant needs a free candidate output
+                // VC.  All-busy candidates free only during our own
+                // ticks (tail departures), so such a VC does not pin
+                // us awake.
                 if (std::uint64_t(ivc.vcMask) & outFree_[ivc.route])
                     return true;        // VA can grant someone.
+                if (specBids_) {
+                    // Footnote 5: adaptive routing re-routes on every
+                    // attempt, so its bids may change cycle to cycle.
+                    // With an event due next cycle no span can open,
+                    // and the bid pins the router awake.
+                    if (adaptive_ || t <= now + 1 ||
+                        nextArrival() <= now + 1)
+                        return true;
+                    // Otherwise the bid can only fail: freeze it.
+                    span_.reqs.push_back(
+                        {int(vi) / v, int(vi) % v, ivc.route, true});
+                }
             } else if (ivc.state == VcState::Active) {
                 sim::Cycle r = std::max(eligible, ivc.saReady);
                 if (r > now)
@@ -679,12 +785,11 @@ Router::nextWake(sim::Cycle now)
         }
     }
 
-    // External events: maturing credits and the next marked arrival
-    // slot (this tick took slot `now`, so anything marked there now is
-    // a full calendar turn away).
-    if (!pendingCredits_.empty())
-        t = std::min(t, pendingCredits_.front().applyAt);
-    t = std::min(t, cal_.next(now + 1));
+    t = std::min(t, nextArrival());
+    // Every cycle until the next event would only repeat the frozen
+    // bids: open a speculation-only span, settled at the next tick.
+    if (!span_.reqs.empty() && t > now + 1)
+        span_.from = now + 1;
     return std::max(t, now + 1);
 }
 
@@ -700,6 +805,9 @@ Router::statsAt(sim::Cycle now) const
     }
     pdr_assert(now >= occObsAt_);
     s.bufOccupancy += std::uint64_t(bufferedNow_) * (now - occObsAt_);
+    settleSpan(now);
+    s.specSaAttempts += span_.attempts;
+    s.specSaWins += span_.wins;
     return s;
 }
 

@@ -23,9 +23,12 @@
  *   link.  The single-cycle model acts at t+1 with no crossbar stage.
  *
  * Credits: a departing flit frees its input-buffer slot and sends a
- * credit upstream; an arriving credit becomes usable by allocation after
- * creditProcCycles (default: the pipeline depth), reproducing the
- * paper's 4/5/4/2-cycle buffer-turnaround analysis (Section 5.2).
+ * credit upstream; a credit is usable by the allocation of the cycle it
+ * arrives in, reproducing the paper's 4/5/4/2-cycle buffer-turnaround
+ * analysis (Section 5.2).  Extra credit processing (creditProcCycles)
+ * is part of the credit channel's latency: Network builds each
+ * inter-router credit channel with credit_latency +
+ * effectiveCreditProc() cycles.
  */
 
 #ifndef PDR_ROUTER_ROUTER_HH
@@ -44,7 +47,6 @@
 #include "sim/channel.hh"
 #include "sim/flit.hh"
 #include "sim/flit_pool.hh"
-#include "sim/ring.hh"
 
 namespace pdr::router {
 
@@ -55,7 +57,10 @@ struct RouterStats
     std::uint64_t flitsOut = 0;
     std::uint64_t headGrants = 0;       //!< Heads granted switch passage.
     std::uint64_t vaGrants = 0;         //!< Output VCs allocated.
-    std::uint64_t specSaAttempts = 0;   //!< Speculative switch requests.
+    /** Speculative switch requests.  Like specSaWins, it lags in
+     *  stats() while a speculation-only span is open; statsAt(now)
+     *  settles the span's rounds through `now`. */
+    std::uint64_t specSaAttempts = 0;
     std::uint64_t specSaWins = 0;       //!< Spec grants surviving priority.
     std::uint64_t specSaUseful = 0;     //!< Spec grants actually used.
     /**
@@ -131,15 +136,23 @@ class Router
      * work, evaluated after a tick at `now`.  Skipping every cycle
      * before the returned one is a provable no-op: the router wakes
      * the very next cycle only when some buffered flit can actually
-     * act (allocate, depart, or -- under the speculative model --
-     * issue a switch bid that evolves arbiter state); a VC that is
-     * ready but creditless does NOT pin the router awake, because the
-     * stall statistic is interval-accounted and the credit that ends
-     * the stall arrives through a watched channel, which re-lowers the
-     * wake entry.  Internal future deadlines (pipeline eligibility,
-     * VA-to-SA latency, maturing credits) and the next marked slot of
-     * the arrival calendar bound the result; CycleNever when fully
-     * idle.
+     * act (allocate or depart); a VC that is ready but creditless does
+     * NOT pin the router awake, because the stall statistic is
+     * interval-accounted and the credit that ends the stall arrives
+     * through a watched channel, which re-lowers the wake entry.
+     * Internal future deadlines (pipeline eligibility, VA-to-SA
+     * latency) and the next arrival in the calendar bound the result;
+     * CycleNever when fully idle.
+     *
+     * Speculation-only stalls: a speculative router whose ready heads
+     * all wait for output VCs that are all taken, and whose Active VCs
+     * cannot request the switch, would spend every cycle re-issuing
+     * the same failed switch bids.  Those rounds change only the
+     * switch allocator's priority state and the spec counters, so
+     * nextWake freezes the bids into a span and sleeps to the next
+     * real event; the next tick (or a statsAt read) replays the
+     * skipped rounds in closed form (SwitchAllocatorBase::replay).
+     * Adaptive routing re-routes every attempt, so it keeps ticking.
      *
      * Non-const: deciding to sleep on a ready-but-creditless VC opens
      * its stall interval (openStall), so that a stall *entered* during
@@ -191,8 +204,12 @@ class Router
     /**
      * Statistics as they would read at cycle `now` under a
      * tick-every-cycle schedule: stats() plus the still-open
-     * credit-stall intervals flushed through `now` (exclusive).
-     * `now` must be >= every tick this router has seen.
+     * credit-stall intervals flushed through `now` (exclusive) and the
+     * failed speculative rounds of an open span settled through `now`.
+     * `now` must be >= every tick this router has seen.  Settling
+     * advances the switch allocator's priority state, but only to
+     * where the skipped rounds would have left it anyway: replaying a
+     * rounds and then b leaves the state of a + b.
      */
     RouterStats statsAt(sim::Cycle now) const;
 
@@ -210,9 +227,6 @@ class Router
     {
         return invc(port, vc).fifo.size();
     }
-    /** Received credits for (outPort, outVc) still maturing in the
-     *  credit-processing pipeline (not yet applied to credits()). */
-    int auditPendingCredits(int out_port, int out_vc) const;
     /** Append every flit handle buffered in any input FIFO. */
     void auditCollectFlits(std::vector<sim::FlitRef> &out) const;
     /**
@@ -222,6 +236,23 @@ class Router
      * otherwise a diagnostic naming the first mismatching entry.
      */
     std::string auditBidState() const;
+
+    /** A speculation-only span is open (see nextWake). */
+    bool specSpanOpen() const { return span_.from != sim::CycleNever; }
+    /**
+     * AUD-SPEC: with a span open and the router asleep through `now`,
+     * no VC may be able to progress at `now`, and the frozen bids must
+     * equal the ready RouteWait heads recomputed from the per-VC
+     * state.  Returns an empty string when consistent, otherwise a
+     * diagnostic naming the first mismatch.
+     */
+    std::string auditSpecSpan(sim::Cycle now) const;
+
+    /**
+     * TEST ONLY: the open span's frozen bids, so tests/sim/test_audit.cc
+     * can corrupt them (the hazard AUD-SPEC exists to catch).
+     */
+    std::vector<arb::SaRequest> &specSpanForTest() { return span_.reqs; }
 
     /**
      * TEST ONLY: the arrival calendar, so tests/sim/test_audit.cc can
@@ -276,14 +307,6 @@ class Router
         FlitChannel *out = nullptr;
         CreditChannel *creditIn = nullptr;
         int heldBy = sim::Invalid;  //!< Wormhole per-packet port hold.
-    };
-
-    /** Credit received, waiting out the processing pipeline. */
-    struct PendingCredit
-    {
-        sim::Cycle applyAt;
-        int port;
-        int vc;
     };
 
     // Tick phases, in order.  The receive phases pop only the channels
@@ -355,8 +378,8 @@ class Router
      * (port, vc) will be stalled from cycle `at` on (nextWake decided
      * to sleep on a ready-but-creditless VC): open the interval unless
      * one is already open.  The condition cannot silently end -- the
-     * credit that would end it arrives during a tick (watched channel
-     * or maturing pipeline), which closes the interval at that tick
+     * credit that would end it arrives during a tick (watched
+     * channel), which closes the interval at that tick
      * with the cycles [at, tick) folded in.
      */
     void
@@ -451,12 +474,6 @@ class Router
             bidActive_[w] &= ~bit;
     }
 
-    /** Received credits maturing through the processing pipeline, in
-     *  applyAt order; always empty when creditProc_ == 0, because such
-     *  credits are applied on arrival. */
-    sim::Ring<PendingCredit> pendingCredits_;
-    int creditProc_ = 0;    //!< cfg_.effectiveCreditProc(), cached.
-
     /**
      * Interval-accounted input-buffer occupancy (stats_.bufOccupancy):
      * the flit count only changes during this router's ticks
@@ -483,9 +500,38 @@ class Router
     }
 
     /** Speculative switch bids are issued for every ready RouteWait VC
-     *  each cycle (evolving arbiter state + specSaAttempts), so such
-     *  VCs pin the router awake; cached model predicate. */
+     *  each cycle (evolving arbiter state + specSaAttempts); cached
+     *  model predicate. */
     bool specBids_ = false;
+
+    /**
+     * An open speculation-only span (nextWake): every cycle from
+     * `from` up to the next tick repeats the frozen failed bids.
+     * Settling replays the rounds up to a cycle through the switch
+     * allocator and parks their counts here until the next tick folds
+     * them into stats_.  Mutable because statsAt settles too (see
+     * there).
+     */
+    struct SpecSpan
+    {
+        sim::Cycle from = sim::CycleNever;  //!< First unsettled round.
+        std::vector<arb::SaRequest> reqs;   //!< Frozen bids, vidx order.
+        std::uint64_t attempts = 0;         //!< Settled, not in stats_.
+        std::uint64_t wins = 0;             //!< Settled, not in stats_.
+    };
+    mutable SpecSpan span_;
+
+    /** Replay the span's rounds [span_.from, now) into its counts. */
+    void settleSpan(sim::Cycle now) const;
+    /** Settle through `now`, fold the counts into stats_, close. */
+    void closeSpan(sim::Cycle now);
+
+    /** Re-mark every channel the calendar holds as over a turn away
+     *  (sim/calendar.hh), before slot `now` is taken. */
+    void remarkFar(sim::Cycle now);
+    /** Earliest ready cycle on the channels held as over a turn
+     *  away. */
+    sim::Cycle farReady() const;
 
     /** routing_.isAdaptive(), cached: deterministic routings skip the
      *  candidates() vector and the per-attempt re-route. */

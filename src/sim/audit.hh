@@ -24,9 +24,10 @@
  *     a missed mark in Channel::push / drainStaged or a missed
  *     Channel::remark.
  *   - credit conservation [AUD-CREDIT]: for every (link, VC), credits
- *     held upstream + credits maturing in the upstream pipeline +
- *     credits on the wire + flits buffered downstream + flits on the
- *     wire must equal the configured buffer depth, every cycle.
+ *     held upstream + credits on the wire (the upstream credit
+ *     pipeline is part of the credit channel's latency) + flits
+ *     buffered downstream + flits on the wire must equal the
+ *     configured buffer depth, every cycle.
  *   - allocation-bitset consistency [AUD-BID]: every router's
  *     incremental RouteWait/Active bid bitsets and free output-VC
  *     words (the sparse sets the allocation phases and nextWake
@@ -34,6 +35,11 @@
  *     state, every cycle.  A stale bit is the allocation-side dual of
  *     an AUD-WAKE violation: a VC that would bid under a dense scan
  *     but is skipped by the sparse one.
+ *   - speculation-only spans [AUD-SPEC]: a router asleep through the
+ *     cycle with a span open (Router::nextWake) must have no VC able
+ *     to progress, and its frozen bids must equal its ready RouteWait
+ *     heads, or its next tick would replay rounds that per-cycle
+ *     ticking never ran.
  *   - flit-pool leaks [AUD-LEAK]: every live pool slot must be
  *     reachable from some queue (channel or router FIFO).  Checked at
  *     teardown; a slot that is alive but unreachable was allocated

@@ -18,16 +18,21 @@
  * The premise is the wake-table invariant: every channel item is
  * consumed on its exact ready cycle (Network::maxLiveFlits relies on
  * it too, and AUD-WAKE checks it).  Slots are indexed
- * ready & (kSlots - 1), so while no item spends more than kSlots
- * cycles between push and delivery, the slot for `now` holds exactly
- * this tick's arrivals and the summary word's next bit is exactly the
- * next arrival.  Longer latencies alias: the slot an item marks also
- * stands for cycles a multiple of kSlots earlier.  The consumer then
- * visits the channel early, pops nothing, and re-marks the channel's
- * front item (Channel::remark), so the bit survives until the item's
- * own cycle.  An alias costs at most a spurious tick, and ticks beyond
- * the wake schedule are no-ops (the forceTickAll equivalence).  No
- * latency bound follows from the ring size.
+ * ready & (kSlots - 1), so a mark is exact only while it lies less than
+ * one turn ahead.  Every mark therefore carries the cycle it is made
+ * in: an item ready a whole turn or more after it (ready - now >=
+ * kSlots) does not mark its slot, which the current cycle or one the
+ * consumer may still take before `ready` shares, but sets its port bit
+ * in the far words instead.  The consumer re-marks its far channels at
+ * the start of each tick, before taking the slot (Channel::remark with
+ * the tick's cycle), and bounds its wake by their nextReady(), so a far
+ * item is marked exactly once it is within a turn.  Marks never alias:
+ * the slot for `now` holds exactly this tick's arrivals and the summary
+ * word's next bit is exactly the next marked arrival, whether a
+ * same-cycle push reached the consumer before or after its tick.  The
+ * tick schedule, and Network::routerTicks with it, is then the same
+ * under any partitioning.  No latency bound follows from the ring
+ * size.
  */
 
 #ifndef PDR_SIM_CALENDAR_HH
@@ -56,10 +61,16 @@ class ArrivalCalendar
         std::uint64_t flit;
     };
 
-    /** Mark `bit` in the `kind` word of the slot for cycle `ready`. */
+    /** Mark `bit` in the `kind` word of the slot for cycle `ready`,
+     *  at cycle `now`; an item a turn or more ahead goes to the far
+     *  words instead. */
     void
-    mark(Cycle ready, Kind kind, std::uint64_t bit)
+    mark(Cycle ready, Cycle now, Kind kind, std::uint64_t bit)
     {
+        if (ready - now >= kSlots) {
+            far_[kind] |= bit;
+            return;
+        }
         const unsigned s = slotOf(ready);
         words_[s][kind] |= bit;
         summary_ |= std::uint64_t(1) << s;
@@ -93,22 +104,41 @@ class ArrivalCalendar
     }
 
     /** `bit` is set in the `kind` word of `ready`'s slot, and the
-     *  summary word flags that slot (the AUD-ARRIVE check). */
+     *  summary word flags that slot, or `bit` is set in the `kind` far
+     *  word (the AUD-ARRIVE check). */
     bool
     marked(Cycle ready, Kind kind, std::uint64_t bit) const
     {
         const unsigned s = slotOf(ready);
-        return (words_[s][kind] & bit) && ((summary_ >> s) & 1u);
+        return ((words_[s][kind] & bit) && ((summary_ >> s) & 1u)) ||
+               (far_[kind] & bit);
     }
 
-    /** No slot is marked. */
-    bool empty() const { return summary_ == 0; }
+    /** Some channel holds an item over a turn away. */
+    bool hasFar() const { return (far_[Credit] | far_[Flit]) != 0; }
+
+    /** The far words: bit p = port p's channel was over a turn away. */
+    Due far() const { return {far_[Credit], far_[Flit]}; }
+
+    /** Read and clear the far words (the consumer re-marks them). */
+    Due
+    takeFar()
+    {
+        const Due due = far();
+        far_[Credit] = 0;
+        far_[Flit] = 0;
+        return due;
+    }
+
+    /** No slot is marked and no channel is far. */
+    bool empty() const { return summary_ == 0 && !hasFar(); }
 
   private:
     static unsigned slotOf(Cycle c) { return unsigned(c) & (kSlots - 1); }
 
     std::uint64_t words_[kSlots][2] = {};  //!< [slot][Kind].
     std::uint64_t summary_ = 0;            //!< Bit s: slot s non-empty.
+    std::uint64_t far_[2] = {};            //!< [Kind]: over a turn away.
 };
 
 } // namespace pdr::sim

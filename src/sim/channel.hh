@@ -24,10 +24,11 @@
  * slot of its ready cycle.  The router's tick then pops only the
  * channels marked for `now`, and its nextWake reads the calendar
  * instead of each channel's nextReady().  After draining a marked
- * channel the router calls remark(), which marks the new front item
- * again: the tick cleared the slot, and an item more than one calendar
- * turn away aliases that slot (see sim/calendar.hh).  So the front item
- * in flight is always marked in its slot (audited as AUD-ARRIVE).
+ * channel the router calls remark(now), which marks the new front
+ * item.  Every mark carries the cycle it is made in, and an item a turn
+ * or more ahead goes to the calendar's far words instead of its slot
+ * (see sim/calendar.hh).  So the front item in flight is always marked
+ * in its slot or held far (audited as AUD-ARRIVE).
  * Sources and sinks consume one channel each; their channels have no
  * calendar, mark nothing, and are read through pop() and nextReady().
  *
@@ -133,7 +134,7 @@ class Channel
             staged_->push_back({ready, item});
             return;
         }
-        enqueue({ready, item});
+        enqueue({ready, item}, now);
     }
 
     /**
@@ -155,15 +156,15 @@ class Channel
     /**
      * Merge staged pushes into the live queue and apply their deferred
      * wake-table updates and calendar marks.  Called by the consumer's
-     * worker after the phase barrier, so it never races the producer
-     * or consumer.
+     * worker after the phase barrier of cycle `now` (the cycle of the
+     * pushes), so it never races the producer or consumer.
      */
     void
-    drainStaged()
+    drainStaged(Cycle now)
     {
         pdr_assert(staged_);
         for (const Entry &e : *staged_)
-            enqueue(e);
+            enqueue(e, now);
         staged_->clear();
     }
 
@@ -179,17 +180,18 @@ class Channel
     }
 
     /**
-     * Mark the front item in flight in the attached calendar again.
-     * The consumer calls this after draining a channel whose bit it
-     * took from the calendar: the take cleared the slot, which an item
-     * more than one calendar turn away may share.  No-op when nothing
-     * is in flight or no calendar is attached.
+     * Mark the front item in flight in the attached calendar again, at
+     * the consumer's cycle `now`.  The consumer calls this after
+     * draining a channel whose bit it took from the calendar (the next
+     * item, if any, was marked far or not at all) and for every far
+     * channel before taking a slot.  No-op when nothing is in flight or
+     * no calendar is attached.
      */
     void
-    remark()
+    remark(Cycle now)
     {
         if (cal_ && !q_.empty())
-            cal_->mark(q_.front().ready, calKind_, calBit_);
+            cal_->mark(q_.front().ready, now, calKind_, calBit_);
     }
 
     /** Items still in flight. */
@@ -206,7 +208,8 @@ class Channel
 
     /**
      * [AUD-ARRIVE] The front item in flight is marked in the attached
-     * calendar.  Vacuously true with nothing in flight or no calendar.
+     * calendar (or held there as far).  Vacuously true with nothing in
+     * flight or no calendar.
      */
     bool
     frontMarked() const
@@ -235,17 +238,17 @@ class Channel
         T item;
     };
 
-    /** Append to the live queue, lower the consumer's wake entry and
-     *  mark its calendar. */
+    /** Append to the live queue at cycle `now`, lower the consumer's
+     *  wake entry and mark its calendar. */
     void
-    enqueue(const Entry &e)
+    enqueue(const Entry &e, Cycle now)
     {
         pdr_assert(q_.empty() || q_.back().ready <= e.ready);
         q_.push_back(e);
         if (wake_ && e.ready < *wake_)
             *wake_ = e.ready;
         if (cal_)
-            cal_->mark(e.ready, calKind_, calBit_);
+            cal_->mark(e.ready, now, calKind_, calBit_);
     }
 
     // Fields every push and pop touch come first; the cross-partition

@@ -90,13 +90,11 @@ Source::nextWake(sim::Cycle now) const
                 return now + 1;
     }
 
-    // No usable credit: sleep until one matures (or until the warmup
+    // No usable credit: sleep until one arrives (or until the warmup
     // boundary, where the tagging-sensitive span begins).
     sim::Cycle t = sim::CycleNever;
-    if (!pendingCredits_.empty())
-        t = pendingCredits_.front().first;
     if (creditIn_)
-        t = std::min(t, creditIn_->nextReady());
+        t = creditIn_->nextReady();
     if (cfg_.packetRate > 0.0 && now + 1 < ctrl_.warmup())
         t = std::min(t, ctrl_.warmup());
     return std::max(t, now + 1);
@@ -105,19 +103,14 @@ Source::nextWake(sim::Cycle now) const
 void
 Source::applyCredits(sim::Cycle now)
 {
-    // Credits become usable the cycle after arrival (the source has a
-    // single-stage credit pipeline).
-    while (!pendingCredits_.empty() &&
-           pendingCredits_.front().first <= now) {
-        credits_[pendingCredits_.front().second]++;
-        pdr_assert(credits_[pendingCredits_.front().second] <=
-                   cfg_.bufDepth);
-        pendingCredits_.pop_front();
-    }
+    // A credit is usable the cycle it arrives.  The source's one-cycle
+    // credit pipeline is part of the injection credit channel's
+    // latency (Network builds it with two cycles).
     if (creditIn_) {
         while (auto c = creditIn_->pop(now)) {
             pdr_assert(c->vc >= 0 && c->vc < cfg_.numVcs);
-            pendingCredits_.push_back({now + 1, c->vc});
+            credits_[c->vc]++;
+            pdr_assert(credits_[c->vc] <= cfg_.bufDepth);
         }
     }
 }

@@ -34,7 +34,6 @@
 #include "sim/channel.hh"
 #include "sim/flit.hh"
 #include "sim/flit_pool.hh"
-#include "sim/ring.hh"
 #include "traffic/measure.hh"
 #include "traffic/pattern.hh"
 
@@ -93,8 +92,8 @@ class Source
      * consumes the shared sample quota in serial node order.  Outside
      * that span the Bernoulli draws are replayed lazily (catchUp), so
      * the source sleeps whenever injection is impossible -- no credits
-     * on any VC -- until a credit matures or the warmup boundary
-     * arrives.  Idle zero-rate sources sleep until a credit arrives
+     * on any VC -- until a credit arrives or the warmup boundary
+     * comes.  Idle zero-rate sources sleep until a credit arrives
      * (CycleNever when none is in flight).
      */
     sim::Cycle nextWake(sim::Cycle now) const;
@@ -117,18 +116,6 @@ class Source
 
     /** Usable injection credits for VC `vc`. */
     int auditCredits(int vc) const { return credits_[std::size_t(vc)]; }
-    /** Arrived credits for VC `vc` still in the one-cycle credit
-     *  pipeline (not yet usable). */
-    int
-    auditPendingCredits(int vc) const
-    {
-        int n = 0;
-        pendingCredits_.forEach([&](const std::pair<sim::Cycle, int> &pc) {
-            if (pc.second == vc)
-                n++;
-        });
-        return n;
-    }
 
   private:
     /** A queued packet awaiting injection. */
@@ -173,7 +160,6 @@ class Source
     std::deque<PendingPacket> queue_;
     std::vector<Stream> streams_;      //!< One per injection VC.
     std::vector<int> credits_;         //!< Per injection VC.
-    sim::Ring<std::pair<sim::Cycle, int>> pendingCredits_;
     int rrVc_ = 0;                     //!< Round-robin send pointer.
     int rrAssign_ = 0;                 //!< Round-robin VC assignment.
 

@@ -247,6 +247,92 @@ TEST_P(AllocEquiv, VcAllocator)
     expectSameState(bit, sca, kRounds);
 }
 
+namespace {
+
+/**
+ * replay(reqs, n) against n allocate(reqs) calls on a twin: both start
+ * from the same warmed-up priority state, must report the same total
+ * grants and end in the same state, and must then grant the same in
+ * one more round.  `spec_frac` is the share of speculative bids.
+ */
+template <typename Alloc>
+void
+expectReplayMatchesRounds(int p, int v, double spec_frac,
+                          std::uint64_t seed)
+{
+    for (std::uint64_t n : {0, 1, 2, 63, 64, 65, 1000}) {
+        Alloc jump(p, v), loop(p, v);
+        Rng rng(seed ^ (n * 0x9e37));
+        std::vector<SaRequest> reqs;
+        auto draw = [&](double d) {
+            reqs.clear();
+            for (int in = 0; in < p; in++) {
+                for (int vc = 0; vc < v; vc++) {
+                    if (rng.bernoulli(d))
+                        reqs.push_back({in, vc, int(rng.range(p)),
+                                        rng.bernoulli(spec_frac)});
+                }
+            }
+        };
+        for (int warm = 0; warm < 37; warm++) {
+            draw(density(warm));
+            (void)jump.allocate(reqs);
+            (void)loop.allocate(reqs);
+        }
+        draw(0.7);
+        std::uint64_t looped = 0;
+        for (std::uint64_t i = 0; i < n; i++)
+            looped += loop.allocate(reqs).size();
+        EXPECT_EQ(jump.replay(reqs, n), looped) << "n = " << n;
+        expectSameState(jump, loop, int(n));
+        expectSameGrants(jump.allocate(reqs), loop.allocate(reqs),
+                         int(n));
+    }
+}
+
+} // namespace
+
+// The router replays a speculation-only stall with replay(): all-spec
+// bids on the speculative allocator, or on the separable one in the
+// equal-priority ablation.  Mixed and non-speculative request vectors
+// must replay exactly too, and the scalar oracle takes the default
+// (round-by-round) path.
+TEST_P(AllocEquiv, SwitchReplayMatchesRounds)
+{
+    expectReplayMatchesRounds<SpeculativeSwitchAllocator>(p(), v(), 1.0,
+                                                          0x51);
+    expectReplayMatchesRounds<SpeculativeSwitchAllocator>(p(), v(), 0.5,
+                                                          0x52);
+    expectReplayMatchesRounds<SeparableSwitchAllocator>(p(), v(), 1.0,
+                                                        0x53);
+    expectReplayMatchesRounds<SeparableSwitchAllocator>(p(), v(), 0.0,
+                                                        0x54);
+    expectReplayMatchesRounds<ScalarSpeculativeSwitchAllocator>(
+        p(), v(), 1.0, 0x55);
+}
+
+// The jump ahead against the oracle's round-by-round default.
+TEST_P(AllocEquiv, SwitchReplayMatchesOracle)
+{
+    SpeculativeSwitchAllocator bit(p(), v());
+    ScalarSpeculativeSwitchAllocator sca(p(), v());
+    Rng rng(0x56 + p() * 64 + v());
+    std::vector<SaRequest> reqs;
+    for (int round = 0; round < 200; round++) {
+        reqs.clear();
+        for (int in = 0; in < p(); in++) {
+            for (int vc = 0; vc < v(); vc++) {
+                if (rng.bernoulli(density(round)))
+                    reqs.push_back({in, vc, int(rng.range(p())), true});
+            }
+        }
+        const std::uint64_t n = rng.range(300);
+        ASSERT_EQ(bit.replay(reqs, n), sca.replay(reqs, n))
+            << "round " << round;
+        expectSameState(bit, sca, round);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Dims, AllocEquiv,
     testing::Values(std::make_tuple(2, 1), std::make_tuple(5, 1),
@@ -364,6 +450,28 @@ TEST(AllocEquivEndToEnd, SpecVirtualChannelAdaptive)
     auto cfg = e2eConfig(RouterModel::SpecVirtualChannel, 2);
     cfg.routing = "westfirst";
     cfg.setOfferedFraction(0.5);
+    expectSameRun(cfg);
+}
+
+// Heads queued for the hotspot's all-busy output VCs open
+// speculation-only spans: the bitmask allocators replay them by jumping
+// ahead, the oracle round by round.
+TEST(AllocEquivEndToEnd, SpecVirtualChannelHotspot)
+{
+    auto cfg = e2eConfig(RouterModel::SpecVirtualChannel, 2);
+    cfg.pattern = "hotspot";
+    cfg.setOfferedFraction(0.9);
+    expectSameRun(cfg);
+}
+
+// The equal-priority ablation replays its spans on the separable
+// allocator.
+TEST(AllocEquivEndToEnd, SpecVirtualChannelHotspotEqualPriority)
+{
+    auto cfg = e2eConfig(RouterModel::SpecVirtualChannel, 2);
+    cfg.router.specEqualPriority = true;
+    cfg.pattern = "hotspot";
+    cfg.setOfferedFraction(0.9);
     expectSameRun(cfg);
 }
 

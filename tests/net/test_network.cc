@@ -130,6 +130,24 @@ TEST(NetworkTest, CreditLatencyConfigurable)
     EXPECT_TRUE(n.controller().done());
 }
 
+TEST(NetworkTest, CreditProcessingIsCreditChannelLatency)
+{
+    // A credit is applied the cycle it leaves its channel, so the
+    // router's credit processing and the source's one-cycle credit
+    // pipeline are built into the credit channels' latencies.
+    auto cfg = smallConfig();
+    cfg.creditLatency = 3;
+    cfg.router.creditProcCycles = 2;
+    Network n(cfg);
+    const std::size_t sources = std::size_t(n.lattice().numNodes());
+    for (std::size_t i = 0; i < n.numCreditChans(); i++) {
+        const bool to_source = n.creditChanConsumer(i) < sources;
+        EXPECT_EQ(n.creditChan(i).latency(),
+                  sim::Cycle(to_source ? 2 : 3 + 2))
+            << "credit channel " << i;
+    }
+}
+
 TEST(NetworkDeath, WrongPortCountRejected)
 {
     auto cfg = smallConfig();

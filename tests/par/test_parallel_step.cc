@@ -4,6 +4,8 @@
  * driven by par::ParallelStepper at any worker count must be
  * bit-identical -- delivered-packet traces, latency statistics, router
  * counters, accepted rate -- to the same Network stepped serially.
+ * The tick schedule must be too: per-router tick counts feed the
+ * weighted re-cut and the profiler's weights.
  * Also covers the sample-space boundary (the Ordered source phase), a
  * deadlock soak under partitioned stepping, and the runSimulation
  * par.workers path.
@@ -84,8 +86,10 @@ expectParallelLockstep(const net::NetworkConfig &cfg, int workers,
     EXPECT_EQ(sr.flitsOut, pr.flitsOut);
     EXPECT_EQ(sr.headGrants, pr.headGrants);
     EXPECT_EQ(sr.vaGrants, pr.vaGrants);
+    EXPECT_EQ(sr.specSaAttempts, pr.specSaAttempts);
     EXPECT_EQ(sr.specSaWins, pr.specSaWins);
     EXPECT_EQ(sr.creditStallCycles, pr.creditStallCycles);
+    EXPECT_EQ(serial.routerTicks(), parallel.routerTicks());
 
     EXPECT_EQ(serial.acceptedFlitRate(), parallel.acceptedFlitRate());
     EXPECT_EQ(serial.controller().tagged(),
@@ -175,13 +179,27 @@ TEST(ParallelStepTest, MultiCycleLinksMatchSerial)
 
 TEST(ParallelStepTest, LinksLongerThanOneCalendarTurnMatchSerial)
 {
-    // Past one 64-slot calendar turn, marks alias earlier cycles; a
-    // drained mark may then be seen by the consumer a turn early.
+    // Past one 64-slot calendar turn, items wait in the calendar's far
+    // words until they are within a turn.  Whether a push reaches its
+    // consumer before its tick (serial order) or after it (a drained
+    // cross-partition push), no early tick may follow: the helper
+    // compares routerTicks().
     auto cfg = baseConfig();
     cfg.linkLatency = 70;
     cfg.creditLatency = 65;
     cfg.setOfferedFraction(0.2);
     expectParallelLockstep(cfg, 4, par::Scheme::Weighted, 4000);
+}
+
+TEST(ParallelStepTest, HotspotSpeculationOnlySpansMatchSerial)
+{
+    // Heads queued for the hotspot's all-busy output VCs put routers
+    // into speculation-only spans, which a worker settles at the
+    // router's next tick.  Spec counters and tick counts must match.
+    auto cfg = baseConfig();
+    cfg.pattern = "hotspot";
+    cfg.setOfferedFraction(0.9);
+    expectParallelLockstep(cfg, 4, par::Scheme::Weighted, 3000);
 }
 
 TEST(ParallelStepTest, SampleBoundaryIsOrderExact)

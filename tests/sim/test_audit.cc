@@ -8,8 +8,9 @@
  * nonzero number of checks, bit-identical to an unaudited run), a
  * deliberately corrupted wake-table entry trips [AUD-WAKE] on the next
  * step -- serially and under partitioned stepping -- a dropped
- * arrival-calendar mark trips [AUD-ARRIVE], and a flit allocated but
- * never queued trips [AUD-LEAK] at teardown.
+ * arrival-calendar mark trips [AUD-ARRIVE], a corrupted
+ * speculation-only span trips [AUD-SPEC] (serially and partitioned),
+ * and a flit allocated but never queued trips [AUD-LEAK] at teardown.
  */
 
 #include <gtest/gtest.h>
@@ -66,6 +67,55 @@ expectPlantedWakeCaught(net::Network &net, Run run)
                   std::string::npos)
             << e.what();
     }
+}
+
+/**
+ * Drop a frozen bid from the first sleeping router with an open
+ * speculation-only span -- a span whose replay would settle rounds
+ * unlike the ones per-cycle ticking runs, the hazard [AUD-SPEC] exists
+ * for -- and expect the next step to report it.  Hotspot traffic near
+ * saturation opens spans within a few hundred cycles.
+ */
+template <typename Run>
+void
+expectCorruptedSpanCaught(net::Network &net, Run run)
+{
+    for (int cycle = 0; cycle < 5000; cycle++) {
+        run(1);
+        for (int r = 0; r < net.lattice().numRouters(); r++) {
+            router::Router &rt = net.routerAt(r);
+            if (!rt.specSpanOpen() ||
+                net.wakeAt(net.rtrComp(r)) <= net.now()) {
+                continue;
+            }
+            ASSERT_FALSE(rt.specSpanForTest().empty());
+            rt.specSpanForTest().pop_back();
+            try {
+                run(1);
+                FAIL() << "corrupted speculation-only span not detected";
+            } catch (const sim::AuditError &e) {
+                EXPECT_NE(std::string(e.what()).find("AUD-SPEC"),
+                          std::string::npos)
+                    << e.what();
+                EXPECT_NE(std::string(e.what()).find(
+                              net.componentName(net.rtrComp(r)) + ":"),
+                          std::string::npos)
+                    << e.what();
+            }
+            return;
+        }
+    }
+    FAIL() << "no speculation-only span opened";
+}
+
+net::NetworkConfig
+hotspotConfig()
+{
+    auto cfg = auditedConfig();
+    cfg.pattern = "hotspot";
+    cfg.packetLength = 5;
+    cfg.setOfferedFraction(0.9);
+    return cfg;
 }
 
 } // namespace
@@ -177,6 +227,38 @@ TEST(Audit, CatchesDroppedArrivalMark)
         return;
     }
     FAIL() << "no flit in flight toward a router";
+}
+
+TEST(Audit, CatchesCorruptedSpeculationOnlySpan)
+{
+    net::Network net(hotspotConfig());
+    expectCorruptedSpanCaught(net, [&net](sim::Cycle n) { net.run(n); });
+}
+
+TEST(Audit, CatchesCorruptedSpeculationOnlySpanUnderPartitionedStepping)
+{
+    net::Network net(hotspotConfig());
+    par::ParConfig pcfg;
+    pcfg.workers = 4;
+    pcfg.scheme = par::Scheme::Planes;
+    par::ParallelStepper stepper(net, pcfg);
+    ASSERT_EQ(stepper.workers(), 4);
+    expectCorruptedSpanCaught(
+        net, [&stepper](sim::Cycle n) { stepper.run(n); });
+}
+
+TEST(Audit, CleanHotspotRunOpensSpansAndPasses)
+{
+    // Spans open, the audit checks them every cycle, and nothing trips.
+    net::Network net(hotspotConfig());
+    std::uint64_t open = 0;
+    for (int c = 0; c < 2000; c++) {
+        net.step();
+        for (int r = 0; r < net.lattice().numRouters(); r++)
+            open += net.routerAt(r).specSpanOpen() ? 1 : 0;
+    }
+    EXPECT_GT(open, 0u);
+    EXPECT_NO_THROW(net.auditTeardown());
 }
 
 TEST(Audit, CatchesLeakedFlit)

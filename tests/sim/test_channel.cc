@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -185,7 +186,7 @@ TEST(ChannelTest, StagedPushesDrainIntoAWrappedRing)
     EXPECT_EQ(wake[1], Cycle(12));
     EXPECT_EQ(*c.pop(12), 10);
     wake[1] = CycleNever;
-    c.drainStaged();
+    c.drainStaged(12);
     EXPECT_EQ(wake[1], Cycle(13));
     EXPECT_EQ(c.inFlight(), 2u);
     c.setStaged(false);
@@ -253,7 +254,7 @@ TEST(ChannelCalendarTest, DrainStagedMarksTheReadySlot)
     c.push(8, 6);               // Staged: ready 8.
     // The mark travels with the item: nothing until the drain.
     EXPECT_TRUE(cal.empty());
-    c.drainStaged();
+    c.drainStaged(6);
     EXPECT_TRUE(c.frontMarked());
     EXPECT_EQ(cal.next(6), Cycle(7));
     EXPECT_EQ(cal.take(7).flit, 1u);
@@ -265,11 +266,12 @@ TEST(ChannelCalendarTest, DrainStagedMarksTheReadySlot)
 
 TEST(ChannelCalendarTest, RemarkCarriesItemsPastOneCalendarTurn)
 {
-    // Latency 70 is more than the 64 slots: an item's slot also stands
-    // for the cycle 64 earlier, and one slot holds the marks of items
-    // 64 cycles apart.  A consumer that ticks only when its wake entry
-    // or its calendar says so, pops only marked channels, and re-marks
-    // after each visit must still pop every item on its ready cycle.
+    // Latency 70 is more than the 64 slots, so no item may mark its
+    // slot when pushed: the slot also stands for the cycle 64 earlier.
+    // Such items wait in the far word until the consumer, which ticks
+    // only when its wake entry or its calendar says so, re-marks them
+    // within a turn.  Every item must be popped on its ready cycle and
+    // no visit may be early.
     const Cycle lat = ArrivalCalendar::kSlots + 6;
     std::vector<Cycle> wake(1, CycleNever);
     ArrivalCalendar cal;
@@ -277,15 +279,19 @@ TEST(ChannelCalendarTest, RemarkCarriesItemsPastOneCalendarTurn)
     c.watch(&wake, 0);
     c.attach(&cal, ArrivalCalendar::Credit, 3);
 
-    // The producer acts first in each cycle, so the second burst's
-    // marks are visible to the consumer while it drains the first one:
-    // they alias cycles 81..90 and wake it early.
+    // The producer acts first in each cycle, so the second burst is in
+    // flight while the consumer drains the first one.
     auto pushes = [](Cycle t) { return t < 10 || (t >= 75 && t < 85); };
-    int popped = 0, visits = 0, idle_visits = 0;
+    int popped = 0, visits = 0, far_ticks = 0;
     for (Cycle now = 0; now < 300; now++) {
         if (pushes(now))
             c.push(int(now), now);
         if (wake[0] <= now) {
+            if (cal.hasFar()) {
+                far_ticks++;
+                EXPECT_EQ(cal.takeFar().credit, 1u << 3);
+                c.remark(now);
+            }
             const auto due = cal.take(now);
             if (due.credit & (1u << 3)) {
                 visits++;
@@ -295,19 +301,52 @@ TEST(ChannelCalendarTest, RemarkCarriesItemsPastOneCalendarTurn)
                     popped++;
                     got = true;
                 }
-                idle_visits += got ? 0 : 1;
-                c.remark();
+                EXPECT_TRUE(got) << "early visit at cycle " << now;
+                c.remark(now);
             }
             EXPECT_TRUE(c.frontMarked()) << "cycle " << now;
-            wake[0] = cal.next(now + 1);
+            wake[0] = std::min(cal.next(now + 1),
+                               cal.hasFar() ? c.nextReady() : CycleNever);
         }
     }
     EXPECT_EQ(popped, 20);
+    EXPECT_EQ(visits, popped);
+    EXPECT_GT(far_ticks, 0);
     EXPECT_TRUE(c.empty());
     EXPECT_TRUE(cal.empty());
-    // The aliased slots were visited early at least once.
-    EXPECT_GT(idle_visits, 0);
-    EXPECT_EQ(visits - idle_visits, popped);
+}
+
+TEST(ChannelCalendarTest, ATurnAheadNeverMarksTheCurrentSlot)
+{
+    // Ready exactly one turn after the push: its slot is the current
+    // cycle's, which the consumer may not have taken yet.  The item
+    // goes to the far word, so taking the current slot finds nothing,
+    // whether the push came before or after the take.
+    const Cycle lat = ArrivalCalendar::kSlots;
+    for (bool push_first : {true, false}) {
+        ArrivalCalendar cal;
+        Channel<int> c(lat);
+        c.attach(&cal, ArrivalCalendar::Flit, 2);
+        const Cycle now = 100;
+        if (push_first)
+            c.push(1, now);
+        const auto due = cal.take(now);
+        EXPECT_EQ(due.flit | due.credit, 0u);
+        if (!push_first)
+            c.push(1, now);
+        EXPECT_TRUE(cal.hasFar());
+        EXPECT_TRUE(c.frontMarked());
+        EXPECT_EQ(cal.next(now + 1), CycleNever);
+        // One cycle later it is within a turn: re-marking puts it in
+        // its own slot.
+        EXPECT_EQ(cal.takeFar().flit, 1u << 2);
+        c.remark(now + 1);
+        EXPECT_FALSE(cal.hasFar());
+        EXPECT_EQ(cal.next(now + 1), now + lat);
+        EXPECT_EQ(cal.take(now + lat).flit, 1u << 2);
+        EXPECT_EQ(*c.pop(now + lat), 1);
+        EXPECT_TRUE(cal.empty());
+    }
 }
 
 TEST(ChannelCalendarTest, UnattachedChannelMarksNothing)
@@ -320,9 +359,9 @@ TEST(ChannelCalendarTest, UnattachedChannelMarksNothing)
     plain.push(1, 0);
     plain.setStaged(true);
     plain.push(2, 1);
-    plain.drainStaged();
+    plain.drainStaged(1);
     plain.setStaged(false);
-    plain.remark();
+    plain.remark(1);
     EXPECT_TRUE(cal.empty());
     EXPECT_TRUE(plain.frontMarked());   // Nothing to mark: vacuous.
     EXPECT_EQ(*plain.pop(1), 1);
